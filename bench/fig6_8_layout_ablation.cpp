@@ -121,10 +121,8 @@ void emit(util::TextTable& t, obs::RunRecord& rec, const std::string& key,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"profile", "racecheck", "no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv, {"profile", "racecheck"});
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   const std::int64_t r = cli.get_int("r", 1 << 16);
   const bool profile = cli.get_bool("profile") || obs::profile_env_default();
   const bool racecheck =

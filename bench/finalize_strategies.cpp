@@ -47,10 +47,8 @@ gpusim::LaunchStats run(std::size_t count, bool two_pass) {
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv);
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   obs::Session obs(cli, "finalize_strategies");
   std::vector<std::size_t> counts;
   {

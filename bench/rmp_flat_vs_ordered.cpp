@@ -56,10 +56,8 @@ gpusim::LaunchStats run_wv(std::int64_t nk, std::int64_t nj, std::int64_t ni,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv);
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   // nj defaults to several times num_workers: the ordered variant runs a
   // vector tree per (k, j) window instance, so the amplification only
   // shows when each worker handles multiple j's.

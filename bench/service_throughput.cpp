@@ -42,7 +42,6 @@
 //   --faults SPEC      arm SPEC (faultinject.hpp grammar) on the "mallory"
 //                      tenant's jobs only
 //   --sim-threads N    host threads per kernel launch (results identical)
-//   --no-fastpath      disable the converged-warp interpreter fast path
 //   --metrics          attach the telemetry registry to the record
 //                      (default: the ACCRED_METRICS env var)
 //   --json FILE        write the accred.bench record
@@ -160,15 +159,13 @@ P5099 hist_percentiles(const obs::MetricsRegistry& reg,
 }
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath", "metrics"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv, {"metrics"});
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   obs::Session obs(cli, "service_throughput");
 
-  const auto jobs = static_cast<std::size_t>(cli.get_int("jobs", 2500));
+  const std::size_t jobs = cli.get_uint32("jobs", 2500);
   const std::int64_t r = cli.get_int("r", 256);
-  const auto workers = static_cast<std::uint32_t>(cli.get_int("workers", 2));
+  const std::uint32_t workers = cli.get_uint32("workers", 2);
   const double rate = cli.get_double("rate", 0.0);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   const std::string faults = cli.get("faults", "");

@@ -24,9 +24,9 @@ using namespace accred;
 
 void BM_FiberSwitch(benchmark::State& state) {
   gpusim::Fiber f(16 * 1024);
-  f.reset([] {
+  f.reset(+[](void*) {
     for (;;) gpusim::Fiber::yield();
-  });
+  }, nullptr);
   for (auto _ : state) {
     f.resume();  // one switch in, one out
   }
@@ -181,10 +181,8 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv);
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   obs::Session obs(cli, "simulator_microbench");
 
   // google-benchmark rejects flags it does not recognize, so strip ours
@@ -203,8 +201,6 @@ int run(int argc, char** argv) {
         a.starts_with("--sim-threads=")) {
       continue;
     }
-    // Declared boolean: never consumes the next token, so strip it alone.
-    if (a == "--no-fastpath" || a.starts_with("--no-fastpath=")) continue;
     args.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(args.size());

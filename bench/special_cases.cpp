@@ -64,10 +64,8 @@ gpusim::LaunchStats vector_case(std::int64_t r, std::uint32_t vlen,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv);
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   const std::int64_t r = cli.get_int("r", 1 << 16);
   obs::Session obs(cli, "special_cases");
   obs.record().meta("reduction_extent", r);

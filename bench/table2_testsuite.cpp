@@ -47,11 +47,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv, {"full", "no-copy", "fig11", "racecheck",
-                                   "no-degrade", "error-on-race", "no-fastpath",
-                                   "ext"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+                                   "no-degrade", "error-on-race", "ext"});
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   obs::Session obs(cli, "table2_testsuite");
 
   testsuite::RunnerOptions opts;
@@ -63,7 +60,7 @@ int run(int argc, char** argv) {
   opts.max_retries = static_cast<int>(cli.get_int("max-retries", 1));
   opts.degrade = !cli.get_bool("no-degrade");
   opts.error_on_race = cli.get_bool("error-on-race");
-  opts.max_steps = static_cast<std::uint64_t>(cli.get_int("max-steps", 0));
+  opts.max_steps = cli.get_uint32("max-steps", 0);
   testsuite::Runner runner(opts);
 
   const bool full_grid = cli.get("grid", "table2") == "full";

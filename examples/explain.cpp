@@ -51,10 +51,8 @@ std::string trim(std::string s) {
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"cuda", "no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv, {"cuda"});
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   try {
     acc::NestIR nest;
     std::string var_name = "s";

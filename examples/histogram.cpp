@@ -18,10 +18,8 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
+  const util::Cli cli(argc, argv);
+  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
   const std::int64_t n = cli.get_int("n", 1 << 20);
   const auto bins = static_cast<std::size_t>(cli.get_int("bins", 16));
 

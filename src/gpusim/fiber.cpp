@@ -33,7 +33,7 @@ std::exception_ptr Fiber::capture_current_exception() {
 // TSan must be told about every transfer of control between stacks: the
 // resumer's context is captured right before switching in (ACCRED_TSAN_IN)
 // and the fiber announces the switch back right before yielding or
-// finishing (ACCRED_TSAN_OUT). Lane-to-lane transfers in the fast path
+// finishing (ACCRED_TSAN_OUT). FastChain's lane-to-lane transfers
 // announce the target directly (ACCRED_TSAN_TO). No-ops in regular builds.
 #if defined(ACCRED_TSAN_FIBERS)
 #define ACCRED_TSAN_IN(fib)                                \
@@ -50,15 +50,6 @@ std::exception_ptr Fiber::capture_current_exception() {
 #endif
 
 Fiber* Fiber::current() noexcept { return tls_current; }
-
-void Fiber::call_std_function(void* self) {
-  static_cast<Fiber*>(self)->entry_();
-}
-
-void Fiber::reset(std::function<void()> entry) {
-  entry_ = std::move(entry);
-  reset(&Fiber::call_std_function, this);
-}
 
 #if defined(ACCRED_FIBER_ASM)
 
@@ -132,9 +123,10 @@ Fiber::~Fiber() {
 void Fiber::trampoline() {
   Fiber* self = tls_current;
   // Exceptions cannot unwind through the hand-rolled switch frame (no CFI),
-  // so capture them and rethrow on the resumer's side. Fast-path thunks
-  // catch at the kernel boundary themselves and leave() without returning
-  // here, so this handler only serves the resume()/yield() protocol.
+  // so capture them and rethrow on the resumer's side. The scheduler's
+  // lane entry catches at the kernel boundary itself and leave()s without
+  // returning here, so this handler only serves the resume()/yield()
+  // protocol.
   try {
     self->raw_entry_(self->raw_arg_);
   } catch (...) {
@@ -247,8 +239,7 @@ void FastChain::park() { dispatch_from(current_, /*to_sched=*/false); }
 void FastChain::leave() {
   Fiber* self = current_;
   self->done_ = true;
-  // A faulting lane aborts the pass before any later lane runs — the same
-  // order a resume() loop would observe the exception in.
+  // A faulting lane aborts the pass before any later lane runs.
   dispatch_from(self, /*to_sched=*/self->eptr_ != nullptr);
 }
 

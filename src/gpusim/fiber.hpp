@@ -5,20 +5,20 @@
 // On x86_64 a hand-rolled callee-saved-register context switch is used
 // (a few ns per switch); other platforms fall back to POSIX ucontext.
 //
-// Two execution modes share the same stacks (DESIGN.md §12):
-//   * resume()/yield(): the classic pairwise protocol — every suspension
-//     bounces through the scheduler frame (two switches per suspension);
-//   * FastChain: the converged-warp fast path — the scheduler enters a
+// Two protocols drive a fiber (DESIGN.md §12):
+//   * FastChain: how the block scheduler runs every lane — it enters a
 //     ready list once and each suspending lane transfers control straight
 //     into the next lane's fiber (one switch per suspension, no scheduler
 //     frame in between), returning to the scheduler only when the whole
-//     pass has parked, completed, or faulted.
+//     pass has parked, completed, or faulted;
+//   * resume()/yield(): the plain pairwise protocol for a standalone fiber
+//     (two switches per suspension), used by the fiber unit tests and the
+//     switch-cost probes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 
 #if !defined(ACCRED_FIBER_ASM)
@@ -63,9 +63,8 @@ public:
   Fiber(Fiber&&) = delete;
   Fiber& operator=(Fiber&&) = delete;
 
-  /// Arm the fiber with a new entry point. Must not be running.
-  void reset(std::function<void()> entry);
-  /// Arm with a raw entry point — no allocation, no closure construction.
+  /// Arm the fiber with a new entry point: `entry(arg)` runs on its stack.
+  /// Must not be running. No allocation, no closure construction.
   void reset(RawEntry entry, void* arg);
 
   /// Switch from the calling context into the fiber. Returns when the fiber
@@ -96,7 +95,7 @@ public:
   /// callable from inside a catch block.
   [[nodiscard]] static std::exception_ptr capture_current_exception();
   /// Store the exception resume()/FastChain::run() will rethrow. Used by
-  /// the scheduler's fast-path thunk, which catches at the kernel boundary
+  /// the scheduler's lane entry, which catches at the kernel boundary
   /// instead of relying on the trampoline's handler.
   void set_exception(std::exception_ptr e) noexcept { eptr_ = std::move(e); }
 
@@ -105,16 +104,12 @@ private:
 
   static void trampoline();
   void prepare_stack();
-  /// Bounce std::function entries through the raw-entry path so the
-  /// trampoline has a single calling convention.
-  static void call_std_function(void* self);
 
   std::size_t stack_size_;
   std::byte* stack_base_ = nullptr;        // start of the usable stack
   std::unique_ptr<std::byte[]> owned_;     // set only for self-owned stacks
   RawEntry raw_entry_ = nullptr;
   void* raw_arg_ = nullptr;
-  std::function<void()> entry_;            // back-compat reset() storage
   std::exception_ptr eptr_;
   bool done_ = true;  // no entry armed yet
 
@@ -138,13 +133,12 @@ private:
 /// transfers control directly into the next unstarted lane's fiber, and the
 /// last lane — or the first faulting one — returns to the scheduler frame.
 ///
-/// The protocol preserves the classic resume-loop semantics exactly: lanes
-/// start in list order, a lane exception stops the pass before any later
-/// lane runs (run() rethrows it, like Fiber::resume() would), and fibers
-/// parked by park() can be re-entered by a later run() just as if they had
-/// yielded. The one restriction is symmetric use: a block must be driven
-/// either entirely by run() passes or entirely by resume()/yield() —
-/// park() does not maintain the caller-frame bookkeeping yield() relies on.
+/// Lanes start in list order, a lane exception stops the pass before any
+/// later lane runs (run() rethrows it, like Fiber::resume() would), and
+/// fibers parked by park() are re-entered by a later run(). Lane entries
+/// must end in leave(), never by returning into the trampoline, and a fiber
+/// driven by run() passes must not be resume()d: park() does not maintain
+/// the caller-frame bookkeeping yield() relies on.
 class FastChain {
 public:
   /// Run every lane of `order` (indices into `fibers`) once to its next

@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <string_view>
+#include <optional>
 #include <thread>
 #include <vector>
+
+#include "util/env.hpp"
 
 namespace accred::gpusim {
 
@@ -16,27 +18,13 @@ namespace {
 
 std::atomic<std::uint32_t> g_default_override{0};
 
-/// -1 = defer to the ACCRED_FASTPATH env default; 0/1 = process override.
-std::atomic<int> g_fastpath_override{-1};
-
-bool env_fastpath() {
-  static const bool parsed = [] {
-    const char* e = std::getenv("ACCRED_FASTPATH");
-    if (e == nullptr || *e == '\0') return true;
-    const std::string_view v(e);
-    return !(v == "0" || v == "false" || v == "no" || v == "off");
-  }();
-  return parsed;
-}
-
 std::uint32_t env_sim_threads() {
   static const std::uint32_t parsed = [] {
-    const char* e = std::getenv("ACCRED_SIM_THREADS");
-    if (e == nullptr || *e == '\0') return 0U;
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(e, &end, 10);
-    if (end == e || *end != '\0') return 0U;  // malformed: ignore
-    return static_cast<std::uint32_t>(std::min<unsigned long>(n, kMaxSimThreads));
+    const std::optional<std::uint64_t> n =
+        util::parse_env_unsigned(std::getenv("ACCRED_SIM_THREADS"));
+    if (!n) return 0U;  // unset or malformed: ignore
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(*n, kMaxSimThreads));
   }();
   return parsed;
 }
@@ -96,16 +84,6 @@ bool FiberStackPool::ensure(std::size_t count, std::size_t stack_bytes) {
   count_ = count;
   stack_bytes_ = stack_bytes;
   return true;
-}
-
-bool default_fastpath() {
-  const int forced = g_fastpath_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return env_fastpath();
-}
-
-void set_default_fastpath(bool on) {
-  g_fastpath_override.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 std::uint32_t resolve_sim_threads(std::uint32_t requested,

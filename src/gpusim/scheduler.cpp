@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "util/env.hpp"
 
 namespace accred::gpusim {
 
@@ -27,12 +30,9 @@ Dim3 unflatten_thread(std::uint32_t tid, const Dim3& block_dim) {
 
 std::uint64_t default_max_steps() {
   static const std::uint64_t parsed = [] {
-    const char* e = std::getenv("ACCRED_MAX_STEPS");
-    if (e == nullptr || *e == '\0') return kDefaultMaxSteps;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(e, &end, 10);
-    if (end == e || *end != '\0' || n == 0) return kDefaultMaxSteps;
-    return static_cast<std::uint64_t>(n);
+    const std::optional<std::uint64_t> n =
+        util::parse_env_unsigned(std::getenv("ACCRED_MAX_STEPS"));
+    return n && *n != 0 ? *n : kDefaultMaxSteps;
   }();
   return parsed;
 }
@@ -41,26 +41,18 @@ void BlockScheduler::run_thread(void* arg) {
   const LaneArg& a = *static_cast<LaneArg*>(arg);
   BlockScheduler& s = *a.sched;
   const std::uint32_t t = a.tid;
-  if (s.use_fastpath_) {
-    // Fast path: catch at the kernel boundary ourselves and hand control
-    // straight to the next lane in the pass — the trampoline's handler and
-    // final switch-back never run (leave() abandons this frame).
-    try {
-      ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
-                    s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
-      (*s.cur_kernel_)(ctx);
-      s.block_.phase[t] = ThreadPhase::kDone;
-    } catch (...) {
-      s.fibers_[t]->set_exception(Fiber::capture_current_exception());
-    }
-    s.chain_.leave();  // never returns
+  // Catch at the kernel boundary and hand control straight to the next
+  // lane in the pass — the trampoline's handler and final switch-back
+  // never run (leave() abandons this frame).
+  try {
+    ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
+                  s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
+    (*s.cur_kernel_)(ctx);
+    s.block_.phase[t] = ThreadPhase::kDone;
+  } catch (...) {
+    s.fibers_[t]->set_exception(Fiber::capture_current_exception());
   }
-  // Classic path: return into the trampoline, which captures exceptions and
-  // switches back to resume()'s frame.
-  ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
-                s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
-  (*s.cur_kernel_)(ctx);
-  s.block_.phase[t] = ThreadPhase::kDone;
+  s.chain_.leave();  // never returns
 }
 
 void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
@@ -76,15 +68,10 @@ void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
   std::vector<std::uint32_t>& arrived = block_.warp_pending[w];
   for (;;) {
     if (!ready_.empty()) {
-      if (use_fastpath_) {
-        // One chained pass: lane -> lane -> ... -> scheduler, a single
-        // context switch per suspension. Event order is identical to the
-        // resume loop below — lanes run in list order either way.
-        chain_.run(fiber_raw_.data(), ready_.data(),
-                   static_cast<std::uint32_t>(ready_.size()));
-      } else {
-        for (std::uint32_t t : ready_) fibers_[t]->resume();
-      }
+      // One chained pass: lane -> lane -> ... -> scheduler, a single
+      // context switch per suspension, lanes entered in list order.
+      chain_.run(fiber_raw_.data(), ready_.data(),
+                 static_cast<std::uint32_t>(ready_.size()));
     }
     // Every resumed lane is now parked at syncwarp (listed in `arrived`),
     // at the block barrier, or done.
@@ -176,9 +163,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
   block_.barrier_exit_divergence = false;
   block_.barrier_site_mismatch = false;
   block_.strict_barriers = opts_.strict_barriers;
-
-  use_fastpath_ = opts_.fastpath;
-  block_.chain = use_fastpath_ ? &chain_ : nullptr;
+  block_.chain = &chain_;
 
   // Lane stacks come from the pooled slab: steady-state blocks reuse both
   // the slab and the Fiber objects, so arming a lane is two stored pointers

@@ -58,10 +58,10 @@ struct BlockState {
   /// plus the barrier entries; like racecheck, the off path costs one
   /// null-pointer branch per event.
   BlockFaults* faults = nullptr;
-  /// Fast-path pass driver of the block being simulated, or null when the
-  /// block runs the classic resume()/yield() protocol (DESIGN.md §12).
-  /// Armed by the scheduler; the barrier suspend sites park through it so a
-  /// suspending lane switches straight into the next lane of the pass.
+  /// Pass driver of the block being simulated (DESIGN.md §12). Armed by
+  /// the scheduler before any lane runs; the barrier suspend sites park
+  /// through it so a suspending lane switches straight into the next lane
+  /// of the pass.
   FastChain* chain = nullptr;
   std::uint64_t barriers = 0;           ///< syncthreads executed by the block
   std::uint64_t syncwarps = 0;
@@ -266,16 +266,9 @@ public:
   }
 
 private:
-  /// Park this lane until the scheduler's next pass re-enters it: through
-  /// the fast-path chain when one is armed (one switch, straight into the
-  /// next lane), else through the classic yield-to-resumer protocol.
-  void suspend() {
-    if (block_->chain != nullptr) {
-      block_->chain->park();
-    } else {
-      Fiber::yield();
-    }
-  }
+  /// Park this lane until the scheduler's next pass re-enters it: one
+  /// switch, straight into the next lane of the pass.
+  void suspend() { block_->chain->park(); }
 
   /// Stage id reports attribute this thread's accesses to. thread_stage is
   /// maintained whenever the stage table is armed — which the scheduler

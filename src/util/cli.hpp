@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -89,6 +90,20 @@ public:
                                   it->second + "\"");
     }
     return v;
+  }
+
+  /// Non-negative integer flag that fits in 32 bits (counts such as
+  /// --sim-threads). A negative or oversized value is a usage error: a
+  /// plain cast would wrap it (-1 became 4294967295, then 256 shards).
+  [[nodiscard]] std::uint32_t get_uint32(const std::string& name,
+                                         std::uint32_t fallback) const {
+    const std::int64_t v = get_int(name, fallback);
+    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument(
+          "--" + name + ": expected a non-negative 32-bit integer, got \"" +
+          get(name, "") + "\"");
+    }
+    return static_cast<std::uint32_t>(v);
   }
 
   [[nodiscard]] double get_double(const std::string& name,

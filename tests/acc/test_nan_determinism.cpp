@@ -1,8 +1,8 @@
 // NaN determinism for min/max reductions: ops.hpp's NaN-propagating
 // apply makes the fold's result independent of fold order, so every
-// strategy (all seven Table 2 positions), every fastpath setting, and
-// every host-thread count must produce bit-identical results on inputs
-// laced with quiet NaNs and +/-infinities. Drives acc::execute directly —
+// strategy (all seven Table 2 positions) and every host-thread count must
+// produce bit-identical results on inputs laced with quiet NaNs and
+// +/-infinities. Drives acc::execute directly —
 // execute_guarded's numeric guard rejects non-finite scalars by design,
 // so the guarded path can never see these inputs.
 #include <gtest/gtest.h>
@@ -72,14 +72,12 @@ auto bits_of(T v) {
 }
 
 template <typename T>
-void run_cell(Position pos, ReductionOp op, bool fastpath,
-              std::uint32_t sim_threads) {
+void run_cell(Position pos, ReductionOp op, std::uint32_t sim_threads) {
   const testsuite::CaseSpec spec{pos, op, data_type_of<T>()};
   testsuite::RunnerOptions opts;
   opts.reduction_extent = 64;
   ExecutionPlan plan =
       testsuite::plan_for_case(CompilerId::kOpenUH, spec, opts);
-  plan.strategy.sim.fastpath = fastpath;
   plan.strategy.sim.sim_threads = sim_threads;
 
   gpusim::Device dev;
@@ -140,7 +138,7 @@ void run_cell(Position pos, ReductionOp op, bool fastpath,
     EXPECT_EQ(bits_of(expect), bits_of(actual))
         << "pos " << to_string(pos) << " op " << to_string(op) << " type "
         << to_string(spec.type) << " plan " << to_string(plan.kind)
-        << " fastpath " << fastpath << " sim_threads " << sim_threads
+        << " sim_threads " << sim_threads
         << " slot " << s << " expect " << expect << " actual " << actual;
   }
 }
@@ -149,11 +147,9 @@ class NanDeterminism : public ::testing::TestWithParam<Position> {};
 
 TEST_P(NanDeterminism, MinMaxBitIdenticalAcrossStrategyAndSimKnobs) {
   for (ReductionOp op : {ReductionOp::kMin, ReductionOp::kMax}) {
-    for (const bool fastpath : {true, false}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        run_cell<float>(GetParam(), op, fastpath, threads);
-        run_cell<double>(GetParam(), op, fastpath, threads);
-      }
+    for (const std::uint32_t threads : {1u, 4u}) {
+      run_cell<float>(GetParam(), op, threads);
+      run_cell<double>(GetParam(), op, threads);
     }
   }
 }

@@ -1,18 +1,18 @@
-// Determinism matrix for the converged-warp fast path (DESIGN.md §12):
-// the chained interpreter must produce bit-identical LaunchStats, per-stage
-// profiles, racecheck reports, and fault-injection events for every
-// {fastpath on/off} x {sim_threads 1/4} combination — the hard contract
-// that lets the fast path default to on. Also re-exercises the PR-4 style
-// barrier-deletion mutant under both execution modes.
+// Determinism oracle for the block scheduler's chained lane protocol
+// (FastChain, DESIGN.md §12). The kClassic* digests below were captured
+// from the deleted per-lane resume()/yield() driver at sim_threads 1; the
+// chained pass must reproduce its LaunchStats, per-stage profiles,
+// racecheck reports, fault-injection events and kernel outputs bit for bit
+// at sim_threads 1 and 4 — on a clean divergent tree, under a two-fault
+// campaign, and for a barrier-deletion mutant.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "gpusim/launch.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "reduce/tree.hpp"
@@ -25,7 +25,7 @@ using gpusim::LaunchStats;
 using gpusim::SimOptions;
 using gpusim::ThreadCtx;
 
-/// Everything the fast-path contract gates, folded into one comparable
+/// Everything the determinism contract gates, folded into one comparable
 /// string. Doubles print as hexfloat so "identical" means bit-identical.
 std::string fingerprint(const LaunchStats& s) {
   std::ostringstream os;
@@ -46,6 +46,28 @@ std::string fingerprint(const LaunchStats& s) {
   }
   return os.str();
 }
+
+/// 64-bit FNV-1a over the fingerprint text, then the kernel's output bytes.
+std::uint64_t digest(const LaunchStats& s, const std::vector<float>& out) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  const std::string fp = fingerprint(s);
+  mix(fp.data(), fp.size());
+  mix(out.data(), out.size() * sizeof(float));
+  return h;
+}
+
+// Captured from the classic driver (SimOptions::fastpath = false,
+// sim_threads = 1) before it was deleted.
+constexpr std::uint64_t kClassicClean = 0x0dfe7eba824a6795ULL;
+constexpr std::uint64_t kClassicCampaign = 0xeb6eced867cab227ULL;
+constexpr std::uint64_t kClassicMutant = 0x52edc7805bd62f20ULL;
 
 /// Divergent tree reduction exercising every gated output: a grid-stride
 /// load loop with lane-dependent extra work (intra-warp divergence), shared
@@ -73,15 +95,13 @@ struct DivergentTreeFixture {
     }
   }
 
-  LaunchStats run(bool fastpath, std::uint32_t sim_threads,
-                  const std::string& faults = {}) {
+  LaunchStats run(std::uint32_t sim_threads, const std::string& faults = {}) {
     out.fill(0.0F);
     auto dv = data.view();
     auto ov = out.view();
     auto sb = sbuf;
     auto op = rop;
     SimOptions opts;
-    opts.fastpath = fastpath;
     opts.sim_threads = sim_threads;
     opts.profile = true;
     opts.racecheck = true;
@@ -99,7 +119,7 @@ struct DivergentTreeFixture {
               priv += ctx.ld(dv, static_cast<std::size_t>(i));
             }
             // Lane-dependent divergence: a third of each warp does extra
-            // reads and ALU work, so the fast path crosses reconvergence
+            // reads and ALU work, so a chained pass crosses reconvergence
             // points with lanes in different states.
             if (ctx.threadIdx.x % 3 == 0) {
               priv += ctx.ld(dv, ctx.threadIdx.x);
@@ -124,57 +144,40 @@ struct DivergentTreeFixture {
   }
 };
 
-TEST(Fastpath, DeterminismMatrixBitIdentical) {
+TEST(Fastpath, CleanTreeMatchesClassicDigest) {
   DivergentTreeFixture fix;
-  const LaunchStats ref = fix.run(/*fastpath=*/false, /*sim_threads=*/1);
-  const std::string ref_fp = fingerprint(ref);
-  const std::vector<float> ref_out = fix.partials();
-  EXPECT_GT(ref.barriers, 0U);
-  EXPECT_GT(ref.syncwarps, 0U);
-  EXPECT_FALSE(ref.profile.empty());
-  EXPECT_EQ(ref.races, 0U);  // the clean kernel must stay clean
-
-  for (bool fast : {false, true}) {
-    for (std::uint32_t threads : {1U, 4U}) {
-      const LaunchStats got = fix.run(fast, threads);
-      EXPECT_EQ(ref_fp, fingerprint(got))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-      const std::vector<float> out = fix.partials();
-      ASSERT_EQ(ref_out.size(), out.size());
-      EXPECT_EQ(0, std::memcmp(ref_out.data(), out.data(),
-                               ref_out.size() * sizeof(float)))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-    }
+  for (std::uint32_t threads : {1U, 4U}) {
+    const LaunchStats got = fix.run(threads);
+    EXPECT_GT(got.barriers, 0U);
+    EXPECT_GT(got.syncwarps, 0U);
+    EXPECT_FALSE(got.profile.empty());
+    EXPECT_EQ(got.races, 0U);  // the clean kernel must stay clean
+    EXPECT_EQ(kClassicClean, digest(got, fix.partials()))
+        << "sim_threads=" << threads;
   }
 }
 
-TEST(Fastpath, FaultCampaignEventsIdenticalAcrossModes) {
+TEST(Fastpath, FaultCampaignMatchesClassicDigest) {
   // A two-fault campaign: a seeded bit flip in the load stage of block 2
   // and a dropped barrier in block 7's tree stage. Event lists, race
   // reports (the skipped barrier races), and the lenient-mode diagnostic
-  // counters must be identical for every matrix cell.
+  // counters are all in the digest.
   const std::string campaign =
       "bitflip@load:block=2,nth=1,seed=9;skip_barrier@tree:block=7,warp=0";
   DivergentTreeFixture fix;
-  const LaunchStats ref = fix.run(false, 1, campaign);
-  const std::string ref_fp = fingerprint(ref);
-  EXPECT_TRUE(ref.faults_armed);
-  EXPECT_FALSE(ref.fault_events.empty());
-
-  for (bool fast : {false, true}) {
-    for (std::uint32_t threads : {1U, 4U}) {
-      const LaunchStats got = fix.run(fast, threads, campaign);
-      EXPECT_EQ(ref_fp, fingerprint(got))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-    }
+  for (std::uint32_t threads : {1U, 4U}) {
+    const LaunchStats got = fix.run(threads, campaign);
+    EXPECT_TRUE(got.faults_armed);
+    EXPECT_FALSE(got.fault_events.empty());
+    EXPECT_EQ(kClassicCampaign, digest(got, fix.partials()))
+        << "sim_threads=" << threads;
   }
 }
 
-TEST(Fastpath, BarrierDeletionMutantRacesIdenticallyAcrossModes) {
-  // The PR-4 style mutant: a hand-rolled tree that drops syncthreads while
-  // multiple warps still participate. Racecheck must flag the same races —
-  // same count, same first reports, same stage attribution — whether the
-  // block runs chained or through the classic per-lane resume loop.
+TEST(Fastpath, BarrierDeletionMutantMatchesClassicDigest) {
+  // A hand-rolled tree that drops syncthreads while multiple warps still
+  // participate. Racecheck must flag the races the classic driver flagged
+  // — same count, same first reports, same stage attribution.
   Device dev;
   constexpr std::uint32_t kThreads = 128;
   auto out = dev.alloc<float>(4);
@@ -182,14 +185,13 @@ TEST(Fastpath, BarrierDeletionMutantRacesIdenticallyAcrossModes) {
   auto sb = layout.add<float>(kThreads);
   auto ov = out.view();
 
-  auto run = [&](bool fastpath, std::uint32_t sim_threads) {
+  for (std::uint32_t threads : {1U, 4U}) {
     out.fill(0.0F);
     SimOptions opts;
-    opts.fastpath = fastpath;
-    opts.sim_threads = sim_threads;
+    opts.sim_threads = threads;
     opts.racecheck = true;
     opts.profile = true;
-    return gpusim::launch(
+    const LaunchStats got = gpusim::launch(
         dev, {4}, {kThreads}, layout.bytes(),
         [=](ThreadCtx& ctx) {
           auto s = ctx.prof_scope("mutant_tree");
@@ -210,35 +212,13 @@ TEST(Fastpath, BarrierDeletionMutantRacesIdenticallyAcrossModes) {
           if (t == 0) ctx.st(ov, ctx.blockIdx.x, ctx.lds(sb, 0));
         },
         opts);
-  };
-
-  const LaunchStats ref = run(false, 1);
-  const std::string ref_fp = fingerprint(ref);
-  EXPECT_GT(ref.races, 0U) << "the mutant must actually race";
-  EXPECT_FALSE(ref.race_reports.empty());
-
-  for (bool fast : {false, true}) {
-    for (std::uint32_t threads : {1U, 4U}) {
-      EXPECT_EQ(ref_fp, fingerprint(run(fast, threads)))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-    }
+    EXPECT_GT(got.races, 0U) << "the mutant must actually race";
+    EXPECT_FALSE(got.race_reports.empty());
+    const std::vector<float> partials(out.host_span().begin(),
+                                      out.host_span().end());
+    EXPECT_EQ(kClassicMutant, digest(got, partials))
+        << "sim_threads=" << threads;
   }
-}
-
-TEST(Fastpath, ProcessDefaultGatesTheLaunchOption) {
-  // launch() runs chained only when SimOptions::fastpath AND the process
-  // default agree; either knob must force the classic path with identical
-  // results (the bisection story for --no-fastpath / ACCRED_FASTPATH=0).
-  const bool saved = gpusim::default_fastpath();
-  DivergentTreeFixture fix;
-  const std::string on = fingerprint(fix.run(true, 1));
-
-  gpusim::set_default_fastpath(false);
-  const std::string forced_off = fingerprint(fix.run(true, 1));
-  gpusim::set_default_fastpath(saved);
-
-  EXPECT_EQ(on, forced_off);
-  EXPECT_EQ(gpusim::default_fastpath(), saved);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Fused cascade kernel (reduce/fused_cascade.hpp): the bit-identity
 // contract — a fused producer→consumer chain must reproduce the unfused
 // one-launch-per-stage sequence's per-level results BIT FOR BIT, for every
-// execution knob that reorders host work ({fastpath on/off} x {sim_threads
-// 1, 4}) — plus racecheck coverage and barrier-deletion mutants for the
-// new payload (argmin/argmax) and segmented kernels.
+// execution knob that reorders host work (sim_threads 1, 4) — plus
+// racecheck coverage and barrier-deletion mutants for the new payload
+// (argmin/argmax) and segmented kernels.
 #include "reduce/fused_cascade.hpp"
 
 #include <gtest/gtest.h>
@@ -151,28 +151,24 @@ TEST(FusedCascade, PerLevelBitIdenticalToUnfusedAcrossExecutionKnobs) {
   const Nest3 n{7, 9, 100};
   const auto host = test::make_input<double>(
       acc::ReductionOp::kSum, static_cast<std::size_t>(n.nk * n.nj * n.ni));
-  for (const bool fastpath : {true, false}) {
-    for (const std::uint32_t threads : {1u, 4u}) {
-      StrategyConfig sc;
-      sc.sim.fastpath = fastpath;
-      sc.sim.sim_threads = threads;
-      const ChainLevels<double> unfused = run_unfused<double>(n, host, sc);
-      const ChainLevels<double> fused = run_fused<double>(n, host, sc);
-      const std::string what = "fastpath=" + std::to_string(fastpath) +
-                               " sim_threads=" + std::to_string(threads);
-      EXPECT_EQ(unfused.kernels, 4) << what;
-      EXPECT_EQ(fused.kernels, 2) << what << ": one chain kernel + finalize";
-      ASSERT_EQ(fused.vector_results.size(), unfused.vector_results.size());
-      for (std::size_t s = 0; s < fused.vector_results.size(); ++s) {
-        ASSERT_EQ(fused.vector_results[s], unfused.vector_results[s])
-            << what << ": vector level diverged at instance " << s;
-      }
-      for (std::size_t s = 0; s < fused.worker_results.size(); ++s) {
-        ASSERT_EQ(fused.worker_results[s], unfused.worker_results[s])
-            << what << ": worker level diverged at k " << s;
-      }
-      EXPECT_EQ(fused.scalar, unfused.scalar) << what;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    StrategyConfig sc;
+    sc.sim.sim_threads = threads;
+    const ChainLevels<double> unfused = run_unfused<double>(n, host, sc);
+    const ChainLevels<double> fused = run_fused<double>(n, host, sc);
+    const std::string what = "sim_threads=" + std::to_string(threads);
+    EXPECT_EQ(unfused.kernels, 4) << what;
+    EXPECT_EQ(fused.kernels, 2) << what << ": one chain kernel + finalize";
+    ASSERT_EQ(fused.vector_results.size(), unfused.vector_results.size());
+    for (std::size_t s = 0; s < fused.vector_results.size(); ++s) {
+      ASSERT_EQ(fused.vector_results[s], unfused.vector_results[s])
+          << what << ": vector level diverged at instance " << s;
     }
+    for (std::size_t s = 0; s < fused.worker_results.size(); ++s) {
+      ASSERT_EQ(fused.worker_results[s], unfused.worker_results[s])
+          << what << ": worker level diverged at k " << s;
+    }
+    EXPECT_EQ(fused.scalar, unfused.scalar) << what;
   }
 }
 

@@ -134,6 +134,25 @@ TEST(Cli, GetDoubleRejectsTrailingGarbageAndNonNumbers) {
   }
 }
 
+TEST(Cli, GetUint32RejectsValuesThatWouldWrap) {
+  // A cast of get_int() turned --sim-threads -1 into 256 shards and
+  // --sim-threads=-4294967295 into 1.
+  auto cli = make_cli({"--sim-threads", "-1", "--b=-4294967295",
+                       "--c=4294967296", "--d=4294967295", "--e", "4"});
+  for (const char* name : {"sim-threads", "b", "c"}) {
+    try {
+      (void)cli.get_uint32(name, 0);
+      FAIL() << "expected std::invalid_argument for --" << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("--" + std::string(name) + ": ", 0), 0U) << msg;
+    }
+  }
+  EXPECT_EQ(cli.get_uint32("d", 0), 4294967295U);
+  EXPECT_EQ(cli.get_uint32("e", 0), 4U);
+  EXPECT_EQ(cli.get_uint32("missing", 7), 7U);
+}
+
 TEST(Cli, NumericsStillParseGoodValues) {
   auto cli = make_cli({"--r", "1048576", "--tol", "1e-6", "--scale=2.5"});
   EXPECT_EQ(cli.get_int("r", 0), 1048576);
