@@ -1,8 +1,7 @@
 // Service-throughput harness: drives the reduction service (DESIGN.md §13)
 // with an open-loop multi-tenant workload sampled over the Table 2 grid
-// and reports throughput, latency, plan-cache effectiveness, and admission
-// behavior as a schema-v3 accred.bench record — the record CI gates
-// (BENCH_service.json).
+// and reports throughput, latency, and admission behavior as a schema-v3
+// accred.bench record — the record CI gates (BENCH_service.json).
 //
 // Latency percentiles come from the service's telemetry registry
 // (DESIGN.md §14): modeled device time plus the virtual-timeline queue
@@ -15,9 +14,9 @@
 //   throughput  N jobs over a weighted tenant mix; the driver submits from
 //               one thread and caps its own in-flight window below the
 //               service's occupancy budget, so every gated counter
-//               (completed, cache hits/misses, modeled device_ms
-//               percentiles) is bit-deterministic for any --sim-threads
-//               and any worker count. Wall-clock latency/throughput land
+//               (completed, rejections, modeled device_ms percentiles)
+//               is bit-deterministic for any --sim-threads and any
+//               worker count. Wall-clock latency/throughput land
 //               in wall_* metrics (never gated).
 //   admission   a paused service with a tiny occupancy budget, then one
 //               with a three-job memory budget: exact deterministic
@@ -30,15 +29,15 @@
 // Flags:
 //   --jobs N           throughput-phase submissions (default 2500)
 //   --r N              base reduction extent (default 256); jobs sample
-//                      {r, 2r}, i.e. two plan-cache extent buckets
+//                      {r, 2r}
 //   --tenants SPEC     name:weight,... (default alice:3,bob:2,carol:1)
 //   --workers N        service executor threads (default 2)
 //   --rate R           open-loop arrivals/sec, exponential inter-arrival
 //                      times (0 = submit back-to-back; wall metrics only)
 //   --seed N           workload sampling seed (default 42)
-//   --cache-capacity N plan-cache entries (default 512)
 //   --queue-capacity N occupancy budget override (0 = device default)
-//   --window N         driver in-flight cap (default 128)
+//   --window N         driver in-flight cap, at least 1 (default 128; never
+//                      above the occupancy budget)
 //   --faults SPEC      arm SPEC (faultinject.hpp grammar) on the "mallory"
 //                      tenant's jobs only
 //   --sim-threads N    host threads per kernel launch (results identical)
@@ -55,6 +54,7 @@
 #include <future>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -130,8 +130,7 @@ public:
     job.reduction_extent = r_ << (rng_.next() & 1);
     // Service jobs run on a small launch geometry: simulation cost scales
     // with threads-per-launch, and a saturation harness wants thousands of
-    // cheap jobs rather than hundreds of paper-scale ones. The geometry is
-    // part of the plan-cache key, so this also keeps key cardinality fixed.
+    // cheap jobs rather than hundreds of paper-scale ones.
     job.config = acc::LaunchConfig{24, 4, 64};
     return job;
   }
@@ -169,6 +168,10 @@ int run(int argc, char** argv) {
   const double rate = cli.get_double("rate", 0.0);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   const std::string faults = cli.get("faults", "");
+  const std::uint32_t window_cap = cli.get_uint32("window", 128);
+  if (window_cap == 0) {
+    throw std::invalid_argument("--window: expected at least 1, got 0");
+  }
 
   TenantMix mix = parse_tenants(cli.get("tenants", "alice:3,bob:2,carol:1"));
   if (!faults.empty()) {
@@ -180,10 +183,7 @@ int run(int argc, char** argv) {
 
   service::ServiceConfig cfg;
   cfg.workers = workers;
-  cfg.plan_cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache-capacity", 512));
-  cfg.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue-capacity", 0));
+  cfg.queue_capacity = cli.get_uint32("queue-capacity", 0);
 
   const bool metrics_on =
       cli.get_bool("metrics", false) || obs::metrics_env_default();
@@ -205,10 +205,9 @@ int run(int argc, char** argv) {
     service::ReductionService svc(cfg, mix.tenants);
     // Keep the driver's own in-flight window below the occupancy budget:
     // with one submitting thread this guarantees zero backpressure
-    // rejections, which keeps every admission/cache counter deterministic.
+    // rejections, which keeps every admission counter deterministic.
     capacity = svc.config().queue_capacity;
-    const std::size_t window = std::min<std::size_t>(
-        static_cast<std::size_t>(cli.get_int("window", 128)), capacity);
+    const std::size_t window = std::min<std::size_t>(window_cap, capacity);
     WorkloadSampler sampler(mix, r, seed);
 
     std::vector<std::future<service::JobResult>> futs;
@@ -245,7 +244,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  std::size_t ok = 0, failed = 0, hits = 0;
+  std::size_t ok = 0, failed = 0;
   double device_ms_total = 0;
   // Wall-clock latency distributions go through the same histogram type as
   // the gated metrics (same bucketing, ns units) but stay wall_*: the
@@ -261,7 +260,6 @@ int run(int argc, char** argv) {
     } else {
       ++failed;
     }
-    if (res.plan_cache_hit) ++hits;
     device_ms_total += res.outcome.device_ms;
     wall_service_ms.record(res.service_ms);
     wall_queue_ms.record(res.queue_ms);
@@ -281,16 +279,10 @@ int run(int argc, char** argv) {
     }
   }
 
-  const double hit_rate = stats.cache.hit_rate();
   std::cout << "== service throughput ==\n"
             << "jobs " << jobs << "  completed " << stats.completed
             << "  failed " << stats.failed << "  workers " << workers
             << "  occupancy capacity " << capacity << "\n"
-            << "plan cache: " << stats.cache.hits << " hits / "
-            << stats.cache.misses << " misses ("
-            << 100.0 * hit_rate << "% hit rate), " << stats.cache.evictions
-            << " evictions, size " << stats.cache.size << "/"
-            << stats.cache.capacity << "\n"
             << "device p50 " << device_p.p50 << " ms  p99 " << device_p.p99
             << " ms  total " << device_ms_total << " ms\n"
             << "virtual timeline: queue wait p50 " << queue_wait_p.p50
@@ -314,10 +306,6 @@ int run(int argc, char** argv) {
       .metric("degraded", static_cast<double>(stats.degraded))
       .metric("rejected_queue", static_cast<double>(stats.rejected_queue))
       .metric("rejected_memory", static_cast<double>(stats.rejected_memory))
-      .metric("cache_hits", static_cast<double>(stats.cache.hits))
-      .metric("cache_misses", static_cast<double>(stats.cache.misses))
-      .metric("cache_evictions", static_cast<double>(stats.cache.evictions))
-      .metric("cache_hit_rate", hit_rate)
       .metric("device_ms_total", device_ms_total)
       .metric("device_p50_ms", device_p.p50)
       .metric("device_p99_ms", device_p.p99)

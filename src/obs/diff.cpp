@@ -64,13 +64,12 @@ bool metric_higher_is_better(const std::string& key) {
       key.find("_p99") != std::string::npos) {
     return false;
   }
-  // "hit_rate" and "jobs_per_sec" join "eff"/"occupancy" for the service
-  // records: a plan-cache hit rate or completion rate that *drops* is the
-  // regression. (jobs_per_sec is emitted as wall_jobs_per_sec today, so
-  // never gated — the polarity still shapes the wall report's arrows.)
+  // "jobs_per_sec" joins "eff"/"occupancy" for the service records: a
+  // completion rate that *drops* is the regression. (It is emitted as
+  // wall_jobs_per_sec today, so never gated — the polarity still shapes
+  // the wall report's arrows.)
   return key.find("eff") != std::string::npos ||
          key.find("occupancy") != std::string::npos ||
-         key.find("hit_rate") != std::string::npos ||
          key.find("jobs_per_sec") != std::string::npos;
 }
 

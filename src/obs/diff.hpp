@@ -46,8 +46,7 @@ struct DiffReport {
 };
 
 /// Metric-name conventions (record.hpp): "wall" metrics are skipped;
-/// "eff"/"occupancy"/"hit_rate"/"jobs_per_sec" metrics are
-/// better-when-larger.
+/// "eff"/"occupancy"/"jobs_per_sec" metrics are better-when-larger.
 [[nodiscard]] bool metric_is_gated(const std::string& key);
 [[nodiscard]] bool metric_higher_is_better(const std::string& key);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -65,6 +66,17 @@ Json error_to_json(const gpusim::LaunchErrorInfo& info) {
 }
 
 }  // namespace
+
+std::string dim3_field_string(const Json& obj, std::string_view key) {
+  const Json& c = obj.at(key);
+  if (c.kind() != Json::Kind::kArray || c.size() != 3) {
+    throw std::runtime_error("\"" + std::string(key) +
+                             "\": expected an array of 3 coordinates");
+  }
+  return '(' + std::to_string(c.elements()[0].as_int()) + ',' +
+         std::to_string(c.elements()[1].as_int()) + ',' +
+         std::to_string(c.elements()[2].as_int()) + ')';
+}
 
 Json stats_to_json(const gpusim::LaunchStats& s,
                    const gpusim::DeviceLimits& lim) {

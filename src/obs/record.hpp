@@ -12,13 +12,14 @@
 // Metric-name conventions consumed by bench_diff:
 //   * keys containing "wall" are host wall-clock times — informational,
 //     never gated (everything else in "metrics" must be deterministic);
-//   * keys containing "eff", "occupancy", "hit_rate", or "jobs_per_sec"
-//     are better-when-larger; all other metrics (times, counters) are
+//   * keys containing "eff", "occupancy", or "jobs_per_sec" are
+//     better-when-larger; all other metrics (times, counters) are
 //     better-when-smaller.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpusim/cost_model.hpp"
@@ -49,6 +50,14 @@ inline constexpr std::int64_t kBenchSchemaCompatVersion = 2;
 /// the device's SM count under round-robin block assignment).
 [[nodiscard]] Json stats_to_json(const gpusim::LaunchStats& s,
                                  const gpusim::DeviceLimits& lim = {});
+
+/// The (x, y, z) coordinates stored under `key` of `obj` (a race report
+/// or access, a fault event, a launch error), rendered "(x,y,z)". Throws
+/// std::runtime_error naming `key` unless it holds exactly three
+/// integers, so a report tool refuses a malformed record rather than read
+/// past the array.
+[[nodiscard]] std::string dim3_field_string(const Json& obj,
+                                            std::string_view key);
 
 /// One named row of a bench record. Names must be unique within a record
 /// — they are the join key bench_diff matches rows by.

@@ -1,10 +1,9 @@
 // Service job vocabulary: what one tenant submission to the reduction
 // service (service.hpp) looks like, and the (source -> parse -> analyze ->
-// plan) pipeline a cache miss pays. A job is a Table-2-shaped reduction —
-// position x operator x dtype at a runtime extent — expressed as OpenACC
-// directive *source text*, exactly the unit of work the front half of the
-// acc pipeline was built to consume; the plan cache (plan_cache.hpp)
-// exists so repeat traffic skips this whole module.
+// plan) pipeline every admitted job runs. A job is a Table-2-shaped
+// reduction — position x operator x dtype at a runtime extent — expressed
+// as OpenACC directive *source text*, exactly the unit of work the front
+// half of the acc pipeline was built to consume.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +87,10 @@ struct JobResult {
   /// Full execution outcome (stats, device_ms, degradation history,
   /// result_hash) when the job ran; default-constructed for rejections.
   testsuite::CaseOutcome outcome;
-  bool plan_cache_hit = false;  ///< planning was skipped entirely
+  /// Always false: the service plans every admitted job with plan_job and
+  /// has no plan cache to hit. Kept only because perfbench/workloads.cpp
+  /// still reads it.
+  bool plan_cache_hit = false;
   double queue_ms = 0;    ///< admission -> dispatch (host wall clock)
   double service_ms = 0;  ///< admission -> completion (host wall clock)
 };
@@ -99,10 +101,12 @@ struct JobResult {
 /// spanned-level under the CAPS discipline).
 [[nodiscard]] std::vector<std::string> job_source(const JobSpec& job);
 
-/// The cache-miss path: render the job's directive source, parse it back
-/// through acc::parse_loop_directive, rebuild the annotated nest, and
-/// analyze + plan it. Throws acc::AnalysisError for cells the compiler
-/// profile rejects (robustness CE cells).
+/// Plan one job: render its directive source, parse it back through
+/// acc::parse_loop_directive, rebuild the annotated nest, and analyze +
+/// plan it. The service calls this for every admitted job. Throws
+/// acc::AnalysisError for cells the compiler profile rejects (robustness
+/// CE cells) and std::invalid_argument for a chain_ops list that is not
+/// exactly 3 ops.
 [[nodiscard]] acc::ExecutionPlan plan_job(const JobSpec& job);
 
 /// RunnerOptions equivalent to this job's knobs (the executing worker

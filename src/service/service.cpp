@@ -49,7 +49,7 @@ std::uint64_t refill_units(double rate, std::uint64_t elapsed_ns) {
 
 ReductionService::ReductionService(ServiceConfig cfg,
                                    std::vector<TenantConfig> tenants)
-    : cfg_(cfg), cache_(cfg.plan_cache_capacity) {
+    : cfg_(cfg) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.queue_capacity == 0) {
     // Occupancy default: the modeled device can have at most
@@ -76,8 +76,7 @@ ReductionService::ReductionService(ServiceConfig cfg,
   for (const char* name :
        {"service/submitted", "service/admitted", "service/rejected_queue",
         "service/rejected_memory", "service/completed", "service/failed",
-        "service/recovered", "service/degraded", "service/plan_hits",
-        "service/plan_misses", "service/cancelled",
+        "service/recovered", "service/degraded", "service/cancelled",
         "service/deadline_exceeded", "service/shed_total",
         "service/breaker_open_total", "service/rejected_breaker"}) {
     (void)metrics_.counter(name);
@@ -295,12 +294,12 @@ bool ReductionService::admit(Pending&& job) {
     return false;
   }
 
-  // Plan through the cache — after admission, so backpressured traffic
-  // never perturbs the hit/miss counters, and outside the service lock,
-  // so a miss's full pipeline doesn't stall dispatch.
+  // Plan after admission, so backpressured traffic never pays for
+  // planning, and outside the service lock, so the pipeline doesn't stall
+  // dispatch.
   const double plan_us = tracing ? obs::trace_now_us() : 0;
   try {
-    job.plan = cache_.get_or_plan(job.spec, &job.cache_hit);
+    job.plan = plan_job(job.spec);
   } catch (const std::exception& ex) {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -326,14 +325,10 @@ bool ReductionService::admit(Pending&& job) {
     finish(job, std::move(r));
     return true;  // admitted (and completed-as-failed), not rejected
   }
-  metrics_.counter(job.cache_hit ? "service/plan_hits"
-                                 : "service/plan_misses")
-      .add();
   if (tracing) {
     obs::trace_complete("plan", kDispatcherTid, plan_us,
                         obs::trace_now_us() - plan_us,
-                        {{"job", static_cast<double>(job.id)},
-                         {"hit", job.cache_hit ? 1.0 : 0.0}},
+                        {{"job", static_cast<double>(job.id)}},
                         {{"tenant", job.spec.tenant}});
   }
 
@@ -609,7 +604,6 @@ void ReductionService::resolve_unlaunched(Pending job, JobStatus status,
   r.job_id = job.id;
   r.tenant = job.spec.tenant;
   r.reject_reason = std::move(reason);
-  r.plan_cache_hit = job.cache_hit;
   r.queue_ms = ms_since(job.submitted_at);
   r.service_ms = r.queue_ms;  // never ran: service time is the queue time
   const char* kind = status == JobStatus::kCancelled      ? "cancel"
@@ -667,7 +661,6 @@ void ReductionService::run_job(Pending job, std::uint32_t worker_index) {
   JobResult r;
   r.job_id = job.id;
   r.tenant = job.spec.tenant;
-  r.plan_cache_hit = job.cache_hit;
   r.queue_ms = ms_since(job.submitted_at);
 
   testsuite::RunnerOptions opts = runner_options(job.spec);
@@ -695,7 +688,6 @@ void ReductionService::run_job(Pending job, std::uint32_t worker_index) {
     obs::trace_complete(
         "execute", 1000 + worker_index, t0_us, obs::trace_now_us() - t0_us,
         {{"job", static_cast<double>(job.id)},
-         {"cache_hit", job.cache_hit ? 1.0 : 0.0},
          {"device_ms", r.outcome.device_ms},
          {"ok", r.status == JobStatus::kOk ? 1.0 : 0.0}},
         {{"tenant", job.spec.tenant}});
@@ -790,7 +782,6 @@ ServiceStats ReductionService::stats() const {
   s.queued = queued_;
   s.inflight = open_jobs_ - queued_;
   s.admitted_bytes = admitted_bytes_;
-  s.cache = cache_.stats();
   return s;
 }
 

@@ -1,8 +1,10 @@
 // Reduction-as-a-service: a long-running multi-tenant executor over the
 // acc planner and the simulated device (DESIGN.md §13).
 //
-//   * submissions are (source, buffers) jobs (job.hpp): async completion
-//     through a std::future or a callback, thousands in flight;
+//   * a submission is a JobSpec (job.hpp) naming a reduction cell at a
+//     runtime extent, rendered to OpenACC directive source when planned;
+//     completion is async through a std::future or a callback, thousands
+//     in flight;
 //   * admission control gates every submission against the simulated
 //     device's occupancy and memory budget *before* it queues — overload
 //     answers with reject-with-backpressure (JobStatus::kRejected), never
@@ -10,8 +12,9 @@
 //   * dispatch is per-tenant weighted fair queuing (start-time virtual
 //     clocks): a tenant flooding the queue gets its weight's share and no
 //     more, and never starves the others;
-//   * planning goes through the PlanCache (plan_cache.hpp), so repeat
-//     traffic skips the source -> parse -> analyze -> plan pipeline;
+//   * every admitted job is planned on its own through plan_job (the
+//     source -> parse -> analyze -> plan pipeline, ~2 us against a job's
+//     milliseconds of simulation), after admission and outside the lock;
 //   * every job executes under acc::execute_guarded on its own simulated
 //     Device, so one tenant's injected faults degrade that tenant's job
 //     only — sibling results are bit-identical with or without the
@@ -33,7 +36,6 @@
 #include "gpusim/dim3.hpp"
 #include "obs/metrics.hpp"
 #include "service/job.hpp"
-#include "service/plan_cache.hpp"
 
 namespace accred::service {
 
@@ -47,7 +49,6 @@ struct TenantConfig {
 struct ServiceConfig {
   /// Executor threads running jobs (each on its own simulated Device).
   std::uint32_t workers = 2;
-  std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
   /// Occupancy budget: max admitted-but-incomplete jobs. 0 = default from
   /// the device description (num_sms x max_blocks_per_sm resident blocks
   /// — the most work the modeled device could ever have co-resident).
@@ -125,7 +126,6 @@ struct ServiceStats {
   std::uint64_t queued = 0;           ///< admitted, not yet dispatched
   std::uint64_t inflight = 0;         ///< dispatched, not yet complete
   std::size_t admitted_bytes = 0;     ///< reserved against the memory budget
-  PlanCacheStats cache;
 };
 
 class ReductionService {
@@ -189,7 +189,6 @@ private:
   struct Pending {
     JobSpec spec;
     acc::ExecutionPlan plan;
-    bool cache_hit = false;
     std::uint64_t id = 0;
     std::size_t bytes = 0;
     std::uint64_t est_ns = 0;      ///< estimate_service_ns(spec), at admission
@@ -268,7 +267,6 @@ private:
                         SlotVerdict verdict);
 
   ServiceConfig cfg_;
-  PlanCache cache_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers: job queued / stop

@@ -98,7 +98,7 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
   const acc::CompilerProfile& prof = acc::profile(id);
   acc::ExecutionPlan plan;
   if (preplanned != nullptr) {
-    plan = *preplanned;  // e.g. a service plan-cache hit
+    plan = *preplanned;  // e.g. the service's admission-time plan
   } else {
     const acc::NestIR nest = build_nest(spec.pos, spec.op, spec.type, geo,
                                         opts.config, prof.discipline);

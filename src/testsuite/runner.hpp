@@ -122,8 +122,8 @@ public:
   /// Run one Table 2 cell for one compiler.
   [[nodiscard]] CaseOutcome run(acc::CompilerId id, const CaseSpec& spec);
 
-  /// Same, but execute a pre-built plan (e.g. from the service's plan
-  /// cache) instead of planning from scratch. The plan must describe this
+  /// Same, but execute a pre-built plan (e.g. the one the service made at
+  /// admission) instead of planning from scratch. The plan must describe this
   /// case at these options — only sim knobs (threads, faults, racecheck,
   /// max_steps) are applied on top.
   [[nodiscard]] CaseOutcome run_planned(acc::CompilerId id,

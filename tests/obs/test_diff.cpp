@@ -2,7 +2,7 @@
 // 1 regression past tolerance, 2 not-comparable — and the metric naming
 // conventions decide
 // which direction counts as worse (wall_* skipped; eff / occupancy /
-// hit_rate / jobs_per_sec higher-is-better).
+// jobs_per_sec higher-is-better).
 #include "obs/diff.hpp"
 
 #include <gtest/gtest.h>
@@ -85,34 +85,17 @@ TEST(Diff, MetricNameConventions) {
   EXPECT_TRUE(metric_is_gated("device_ms"));
   EXPECT_TRUE(metric_higher_is_better("coalescing_efficiency"));
   EXPECT_TRUE(metric_higher_is_better("sm_occupancy"));
-  EXPECT_TRUE(metric_higher_is_better("cache_hit_rate"));
   EXPECT_TRUE(metric_higher_is_better("wall_jobs_per_sec"));
   EXPECT_FALSE(metric_is_gated("wall_jobs_per_sec"));
   EXPECT_FALSE(metric_higher_is_better("device_ms"));
   EXPECT_FALSE(metric_higher_is_better("barriers"));
-  EXPECT_FALSE(metric_higher_is_better("cache_misses"));
+  EXPECT_FALSE(metric_higher_is_better("rejected_queue"));
   // Latency names are lower-is-better even when another pattern matches:
   // the "_ms" / percentile guard wins first.
   EXPECT_FALSE(metric_higher_is_better("queue_wait_p99_ms"));
   EXPECT_FALSE(metric_higher_is_better("e2e_p50_ms"));
   EXPECT_FALSE(metric_higher_is_better("effective_latency_ms"));
   EXPECT_TRUE(metric_is_gated("queue_wait_p99_ms"));
-}
-
-// A dropping hit rate must read as the regression (polarity), and a rising
-// one as the improvement — the service gate depends on this.
-TEST(Diff, HitRateRegressionPolarity) {
-  auto rec = [](double rate) {
-    RunRecord r("gate_bench");
-    r.entry("row").metric("cache_hit_rate", rate);
-    return r.to_json();
-  };
-  const DiffReport worse =
-      diff_records(rec(0.95), rec(0.50), DiffOptions{0.25});
-  EXPECT_EQ(worse.exit_code, 1);
-  const DiffReport better =
-      diff_records(rec(0.95), rec(1.0), DiffOptions{0.25});
-  EXPECT_EQ(better.exit_code, 0);
 }
 
 TEST(Diff, FutureSchemaVersionIsNotComparable) {

@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "service/job.hpp"
-#include "service/plan_cache.hpp"
 #include "service/service.hpp"
 
 namespace accred::service::test {
@@ -37,7 +36,8 @@ inline JobSpec make_job(std::string tenant = "t",
 }
 
 /// Every planner decision and derived fact, compared field by field: a
-/// rebound cached plan must be indistinguishable from planning fresh.
+/// service-planned job must be indistinguishable from the testsuite's own
+/// plan for the same cell.
 inline void expect_plans_equal(const acc::ExecutionPlan& a,
                                const acc::ExecutionPlan& b) {
   EXPECT_EQ(a.kind, b.kind);

@@ -1,7 +1,7 @@
 // Admission control (service/service.hpp): overload answers with an
 // immediate deterministic kRejected — backpressure, never a device OOM —
 // against both the occupancy budget and the memory budget; rejected
-// traffic must not perturb the plan cache.
+// traffic never reaches the planner.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -81,22 +81,37 @@ TEST(Admission, MemoryBudgetRejectsInsteadOfOom) {
   EXPECT_EQ(svc.stats().completed, 2u);
 }
 
-TEST(Admission, RejectionsNeverTouchThePlanCache) {
+TEST(Admission, RejectionsNeverPlan) {
+  // plan_job throws on a 2-op chain, so a submission of this spec that
+  // reached the planner would resolve kFailed and count in stats().failed.
+  JobSpec unplannable = make_job();
+  unplannable.chain_ops = {acc::ReductionOp::kSum, acc::ReductionOp::kSum};
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 2;
   cfg.start_paused = true;
   ReductionService svc(cfg);
-  std::vector<std::future<JobResult>> futs;
-  for (int i = 0; i < 10; ++i) futs.push_back(svc.submit(make_job()));
+  std::vector<std::future<JobResult>> held;
+  for (int i = 0; i < 2; ++i) held.push_back(svc.submit(make_job()));
+  for (int i = 0; i < 8; ++i) {
+    const JobResult r = svc.submit(unplannable).get();
+    EXPECT_EQ(r.status, JobStatus::kRejected);
+    EXPECT_NE(r.reject_reason.find("occupancy"), std::string::npos);
+  }
   const ServiceStats s = svc.stats();
   EXPECT_EQ(s.rejected_queue, 8u);
-  // Only the two admitted jobs planned: one miss, one hit. The eight
-  // rejected submissions are invisible to the cache counters, so the hit
-  // rate stays deterministic under wall-clock-dependent backpressure.
-  EXPECT_EQ(s.cache.misses + s.cache.hits, 2u);
+  EXPECT_EQ(s.failed, 0u) << "a rejected submission must never be planned";
   svc.resume();
   drain_or_fail(svc);
+  for (auto& f : held) EXPECT_EQ(f.get().status, JobStatus::kOk);
+
+  // Control: under budget the same spec is admitted, reaches the planner,
+  // and fails there as a structured kFailed.
+  const JobResult control = svc.submit(unplannable).get();
+  EXPECT_EQ(control.status, JobStatus::kFailed);
+  EXPECT_NE(control.outcome.detail.find("planning failed"), std::string::npos)
+      << control.outcome.detail;
+  EXPECT_EQ(svc.stats().failed, 1u);
 }
 
 TEST(Admission, BudgetFreesAsJobsComplete) {

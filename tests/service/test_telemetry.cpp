@@ -104,10 +104,6 @@ TEST(Telemetry, RegistryMirrorsServiceStats) {
             static_cast<std::int64_t>(r.stats.completed));
   EXPECT_EQ(counters.at("service/rejected_queue").as_int(),
             static_cast<std::int64_t>(r.stats.rejected_queue));
-  EXPECT_EQ(counters.at("service/plan_hits").as_int(),
-            static_cast<std::int64_t>(r.stats.cache.hits));
-  EXPECT_EQ(counters.at("service/plan_misses").as_int(),
-            static_cast<std::int64_t>(r.stats.cache.misses));
   // One histogram sample per executed job, service-wide and per tenant.
   const obs::Json& hists = j.at("histograms");
   const std::int64_t executed =

@@ -45,17 +45,11 @@ struct FaultedEntry {
   bool flagged_unverified = false;  ///< verified == "NO" in the record
 };
 
-std::string render_block(const obs::Json& b) {
-  std::ostringstream os;
-  os << '(' << b.elements()[0].as_int() << ',' << b.elements()[1].as_int()
-     << ',' << b.elements()[2].as_int() << ')';
-  return os.str();
-}
-
 std::string render_event(const obs::Json& e) {
   std::ostringstream os;
-  os << e.at("kind").as_string() << " block" << render_block(e.at("block"))
-     << " warp " << e.at("warp").as_int();
+  os << e.at("kind").as_string() << " block"
+     << obs::dim3_field_string(e, "block") << " warp "
+     << e.at("warp").as_int();
   if (const obs::Json* stage = e.find("stage")) {
     os << " [" << stage->as_string() << ']';
   }
@@ -66,8 +60,8 @@ std::string render_event(const obs::Json& e) {
 std::string render_error(const obs::Json& err) {
   std::ostringstream os;
   os << err.at("code").as_string() << ": " << err.at("message").as_string();
-  if (const obs::Json* b = err.find("block")) {
-    os << " @ block" << render_block(*b) << " warp "
+  if (err.find("block") != nullptr) {
+    os << " @ block" << obs::dim3_field_string(err, "block") << " warp "
        << err.at("warp").as_int();
   }
   return os.str();

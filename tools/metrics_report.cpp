@@ -14,9 +14,10 @@
 // --slo gates the report: a comma-separated list of histogram statistics
 // with upper bounds, e.g.
 //     --slo "service/e2e_ms:p99<=0.5,service/queue_wait_ms:p50<=0.25"
-// where STAT is pNN (percentile), mean, or max, in the histogram's value
-// units (milliseconds for the latency histograms). Breaches print FAIL
-// lines and exit 1 — the CI hook for latency objectives.
+// where STAT is pNN (percentile, 0 < NN <= 100), mean, or max, and BOUND
+// is a number in the histogram's value units (milliseconds for the
+// latency histograms). Breaches print FAIL lines and exit 1 — the CI hook
+// for latency objectives; a malformed clause is bad usage.
 //
 // --compare prints baseline-vs-current percentiles side by side for every
 // histogram the two records share (informational, never gates; an --slo
@@ -24,6 +25,7 @@
 //
 // Exit codes: 0 = report printed (SLOs, if any, all pass); 1 = SLO
 // breach; 2 = unreadable input, no telemetry section, or bad usage.
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <fstream>
@@ -106,27 +108,29 @@ std::optional<Telemetry> extract(const obs::Json& record,
   return std::nullopt;
 }
 
-/// Histogram statistic by name: pNN, mean, or max (value units).
-double stat_of(const obs::Histogram& h, const std::string& stat) {
-  if (stat == "mean") return h.mean();
-  if (stat == "max") {
-    return h.scale() > 0 ? static_cast<double>(h.max_units()) / h.scale() : 0;
-  }
-  if (stat.size() >= 2 && stat[0] == 'p') {
-    const double q = std::stod(stat.substr(1)) / 100.0;
-    return h.percentile(q);
-  }
-  throw std::runtime_error("metrics_report: unknown statistic \"" + stat +
-                           "\" (expected pNN, mean, or max)");
-}
-
 struct Slo {
   std::string metric;
-  std::string stat;
+  std::string stat;  ///< as written: pNN, mean, or max
+  double q = 0;      ///< NN / 100 for a pNN statistic
   double bound = 0;
 };
 
-/// Parse "HIST:STAT<=BOUND,..." (metric names never contain ':').
+/// `text` as a finite number, or nullopt unless all of it parses.
+std::optional<double> parse_number(const std::string& text) {
+  std::size_t used = 0;
+  double v = 0;
+  try {
+    v = std::stod(text, &used);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  if (used != text.size() || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+/// Parse "HIST:STAT<=BOUND,..." (metric names never contain ':'). Every
+/// clause is checked here, so a bad one is a usage error (exit 2) before
+/// any record is read.
 std::vector<Slo> parse_slos(const std::string& spec) {
   std::vector<Slo> out;
   std::size_t pos = 0;
@@ -136,19 +140,45 @@ std::vector<Slo> parse_slos(const std::string& spec) {
         spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
     pos = comma == std::string::npos ? spec.size() : comma + 1;
     if (part.empty()) continue;
+    const auto bad = [&](const std::string& why) {
+      return std::runtime_error("metrics_report: bad SLO \"" + part +
+                                "\": " + why);
+    };
     const std::size_t colon = part.rfind(':');
     const std::size_t le = part.find("<=");
     if (colon == std::string::npos || le == std::string::npos || le < colon) {
-      throw std::runtime_error("metrics_report: bad SLO \"" + part +
-                               "\" (expected HIST:STAT<=BOUND)");
+      throw bad("expected HIST:STAT<=BOUND");
     }
     Slo s;
     s.metric = part.substr(0, colon);
     s.stat = part.substr(colon + 1, le - colon - 1);
-    s.bound = std::stod(part.substr(le + 2));
+    if (s.stat != "mean" && s.stat != "max") {
+      const std::optional<double> nn =
+          s.stat.starts_with('p') ? parse_number(s.stat.substr(1))
+                                  : std::nullopt;
+      if (!nn || !(*nn > 0 && *nn <= 100)) {
+        throw bad("unknown statistic \"" + s.stat +
+                  "\" (expected pNN with 0 < NN <= 100, mean, or max)");
+      }
+      s.q = *nn / 100.0;
+    }
+    const std::optional<double> bound = parse_number(part.substr(le + 2));
+    if (!bound) {
+      throw bad("bound \"" + part.substr(le + 2) + "\" is not a finite number");
+    }
+    s.bound = *bound;
     out.push_back(std::move(s));
   }
   return out;
+}
+
+/// A parsed SLO's statistic of `h`, in value units.
+double stat_of(const obs::Histogram& h, const Slo& s) {
+  if (s.stat == "mean") return h.mean();
+  if (s.stat == "max") {
+    return h.scale() > 0 ? static_cast<double>(h.max_units()) / h.scale() : 0;
+  }
+  return h.percentile(s.q);
 }
 
 /// Check every SLO against `t`; prints one PASS/FAIL line each.
@@ -163,7 +193,7 @@ bool check_slos(const Telemetry& t, const std::vector<Slo>& slos) {
       ok = false;
       continue;
     }
-    const double v = stat_of(it->second, s.stat);
+    const double v = stat_of(it->second, s);
     const bool pass = v <= s.bound;
     std::cout << "SLO " << (pass ? "PASS" : "FAIL") << "  " << s.metric << ":"
               << s.stat << " = " << v << " (bound " << s.bound << ")\n";

@@ -35,21 +35,19 @@ struct CheckedEntry {
 
 std::string render_access(const obs::Json& a) {
   std::ostringstream os;
-  const obs::Json& t = a.at("thread");
-  os << "t(" << t.elements()[0].as_int() << ',' << t.elements()[1].as_int()
-     << ',' << t.elements()[2].as_int() << ") " << a.at("access").as_string()
-     << " [" << a.at("stage").as_string() << ']';
+  os << 't' << obs::dim3_field_string(a, "thread") << ' '
+     << a.at("access").as_string() << " [" << a.at("stage").as_string()
+     << ']';
   return os.str();
 }
 
 std::string render_report(const obs::Json& r) {
   std::ostringstream os;
-  const obs::Json& b = r.at("block");
   os << r.at("kind").as_string() << ' ' << r.at("space").as_string() << "+0x"
-     << std::hex << r.at("addr").as_int() << std::dec << " block("
-     << b.elements()[0].as_int() << ',' << b.elements()[1].as_int() << ','
-     << b.elements()[2].as_int() << "): " << render_access(r.at("first"))
-     << " vs " << render_access(r.at("second"));
+     << std::hex << r.at("addr").as_int() << std::dec << " block"
+     << obs::dim3_field_string(r, "block") << ": "
+     << render_access(r.at("first")) << " vs "
+     << render_access(r.at("second"));
   return os.str();
 }
 
