@@ -14,7 +14,16 @@
 namespace accred::gpusim {
 
 namespace {
+
 thread_local Fiber* tls_current = nullptr;
+
+void validate_stack_size(std::size_t n) {
+  if (n % 16 != 0 || n < 4096) {
+    throw std::invalid_argument(
+        "fiber stack size must be >=4096 and 16-aligned");
+  }
+}
+
 }  // namespace
 
 std::exception_ptr Fiber::capture_current_exception() {
@@ -51,6 +60,8 @@ std::exception_ptr Fiber::capture_current_exception() {
 
 Fiber* Fiber::current() noexcept { return tls_current; }
 
+// ---- Backend: the register switch and the initial frame ------------------
+
 #if defined(ACCRED_FIBER_ASM)
 
 // void accred_ctx_switch(void** save_sp, void* restore_sp)
@@ -86,61 +97,12 @@ accred_ctx_switch:
 )");
 
 namespace {
-void validate_stack_size(std::size_t n) {
-  if (n % 16 != 0 || n < 4096) {
-    throw std::invalid_argument(
-        "fiber stack size must be >=4096 and 16-aligned");
-  }
+/// Save the running context into `save` and continue in `restore`.
+inline void switch_context(detail::MachineContext& save,
+                           const detail::MachineContext& restore) {
+  accred_ctx_switch(&save, restore);
 }
 }  // namespace
-
-Fiber::Fiber(std::size_t stack_size) : stack_size_(stack_size) {
-  validate_stack_size(stack_size_);
-  owned_ = std::make_unique<std::byte[]>(stack_size_);
-  stack_base_ = owned_.get();
-#if defined(ACCRED_TSAN_FIBERS)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
-}
-
-Fiber::Fiber(std::byte* stack, std::size_t stack_size)
-    : stack_size_(stack_size), stack_base_(stack) {
-  validate_stack_size(stack_size_);
-#if defined(ACCRED_TSAN_FIBERS)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
-}
-
-Fiber::~Fiber() {
-  // A fiber must never be destroyed while suspended mid-execution: its stack
-  // would hold live frames. The scheduler guarantees fibers run to completion.
-  assert(done_);
-#if defined(ACCRED_TSAN_FIBERS)
-  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
-#endif
-}
-
-void Fiber::trampoline() {
-  Fiber* self = tls_current;
-  // Exceptions cannot unwind through the hand-rolled switch frame (no CFI),
-  // so capture them and rethrow on the resumer's side. The scheduler's
-  // lane entry catches at the kernel boundary itself and leave()s without
-  // returning here, so this handler only serves the resume()/yield()
-  // protocol.
-  try {
-    self->raw_entry_(self->raw_arg_);
-  } catch (...) {
-    self->eptr_ = capture_current_exception();
-  }
-  self->done_ = true;
-  // Final switch back to the resumer. A finished fiber must never be
-  // resumed again (resume() asserts); if a release-build caller does it
-  // anyway, keep handing control back instead of aborting the process.
-  for (;;) {
-    ACCRED_TSAN_OUT(self);
-    accred_ctx_switch(&self->self_sp_, self->caller_sp_);
-  }
-}
 
 void Fiber::prepare_stack() {
   // Build an initial stack frame such that accred_ctx_switch's epilogue
@@ -159,7 +121,76 @@ void Fiber::prepare_stack() {
   auto* frame = reinterpret_cast<void**>(sp) - 7;
   for (int i = 0; i < 6; ++i) frame[i] = nullptr;  // r15..rbp
   frame[6] = reinterpret_cast<void*>(&Fiber::trampoline);
-  self_sp_ = frame;
+  self_ctx_ = frame;
+}
+
+#else  // ucontext fallback
+
+namespace {
+inline void switch_context(detail::MachineContext& save,
+                           const detail::MachineContext& restore) {
+  swapcontext(&save, &restore);
+}
+}  // namespace
+
+void Fiber::prepare_stack() {
+  getcontext(&self_ctx_);
+  self_ctx_.uc_stack.ss_sp = stack_base_;
+  self_ctx_.uc_stack.ss_size = stack_size_;
+  self_ctx_.uc_link = nullptr;
+  makecontext(&self_ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+}
+
+#endif
+
+// ---- Fiber: the resume()/yield() protocol --------------------------------
+
+Fiber::Fiber(std::size_t stack_size) : stack_size_(stack_size) {
+  validate_stack_size(stack_size_);
+  // Not zero-filled: prepare_stack() writes the only bytes read before the
+  // fiber writes them itself.
+  owned_ = std::make_unique_for_overwrite<std::byte[]>(stack_size_);
+  stack_base_ = owned_.get();
+#if defined(ACCRED_TSAN_FIBERS)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+Fiber::Fiber(std::byte* stack, std::size_t stack_size)
+    : stack_size_(stack_size), stack_base_(stack) {
+  validate_stack_size(stack_size_);
+#if defined(ACCRED_TSAN_FIBERS)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+Fiber::~Fiber() {
+  // A fiber must never be destroyed while suspended mid-execution: its stack
+  // would hold live frames. Its owner finishes or abandon()s it first.
+  assert(done_);
+#if defined(ACCRED_TSAN_FIBERS)
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
+
+void Fiber::trampoline() {
+  Fiber* self = tls_current;
+  // Exceptions cannot unwind through a stack switch, so capture them and
+  // rethrow on the resumer's side. FastChain's lane_loop() never returns
+  // here, so this handler only serves the resume()/yield() protocol.
+  try {
+    self->raw_entry_(self->raw_arg_);
+  } catch (...) {
+    self->eptr_ = capture_current_exception();
+  }
+  self->done_ = true;
+  // Final switch back to the resumer. A finished fiber must never be
+  // resumed again (resume() asserts); if a release-build caller does it
+  // anyway, keep handing control back instead of aborting the process.
+  for (;;) {
+    ACCRED_TSAN_OUT(self);
+    switch_context(self->self_ctx_, self->caller_ctx_);
+  }
 }
 
 void Fiber::reset(RawEntry entry, void* arg) {
@@ -176,7 +207,7 @@ void Fiber::resume() {
   Fiber* prev = tls_current;
   tls_current = this;
   ACCRED_TSAN_IN(this);
-  accred_ctx_switch(&caller_sp_, self_sp_);
+  switch_context(caller_ctx_, self_ctx_);
   tls_current = prev;
   if (done_ && eptr_) {
     std::exception_ptr e = std::exchange(eptr_, nullptr);
@@ -188,197 +219,105 @@ void Fiber::yield() {
   Fiber* self = tls_current;
   assert(self != nullptr && "yield() outside any fiber");
   ACCRED_TSAN_OUT(self);
-  accred_ctx_switch(&self->self_sp_, self->caller_sp_);
+  switch_context(self->self_ctx_, self->caller_ctx_);
 }
 
-void FastChain::run(Fiber* const* fibers, const std::uint32_t* order,
-                    std::uint32_t count) {
+// ---- FastChain: lanes on lazily bound pooled fibers ----------------------
+
+void FastChain::reset(std::span<const std::unique_ptr<Fiber>> pool) {
+  free_.clear();
+  // Pushed in reverse so the first lanes of a block take the first stacks.
+  for (auto it = pool.rbegin(); it != pool.rend(); ++it) {
+    Fiber& f = **it;
+    // A fresh frame abandons whatever lane the fiber still held.
+    f.raw_entry_ = &FastChain::lane_loop;
+    f.raw_arg_ = this;
+    f.prepare_stack();
+    f.done_ = true;  // idle
+    free_.push_back(&f);
+  }
+  lane_fiber_.assign(pool.size(), nullptr);
+}
+
+Fiber* FastChain::take_fiber(std::uint32_t lane) {
+  assert(!free_.empty() && "pool holds fewer fibers than started lanes");
+  // An idle fiber is either fresh from reset() or suspended in lane_loop()
+  // right after giving up its last lane; entering it starts lane_ either way.
+  Fiber* f = free_.back();
+  free_.pop_back();
+  f->done_ = false;
+  lane_fiber_[lane] = f;
+  lane_ = lane;
+  return f;
+}
+
+void FastChain::run(const std::uint32_t* order, std::uint32_t count) {
   assert(count >= 1);
-  fibers_ = fibers;
   order_ = order;
   count_ = count;
   next_ = 1;
-  Fiber* first = fibers[order[0]];
-  assert(!first->done());
+  Fiber* first = lane_fiber_[order[0]];
+  if (first == nullptr) first = take_fiber(order[0]);
   current_ = first;
   Fiber* prev = tls_current;
   tls_current = first;
 #if defined(ACCRED_TSAN_FIBERS)
   tsan_sched_ = __tsan_get_current_fiber();
-  ACCRED_TSAN_TO(first->tsan_fiber_);
 #endif
-  accred_ctx_switch(&sched_sp_, first->self_sp_);
+  ACCRED_TSAN_TO(first->tsan_fiber_);
+  switch_context(sched_ctx_, first->self_ctx_);
   tls_current = prev;
-  Fiber* last = current_;
-  if (last->eptr_) {
-    std::exception_ptr e = std::exchange(last->eptr_, nullptr);
-    std::rethrow_exception(e);
-  }
+  if (eptr_) std::rethrow_exception(std::exchange(eptr_, nullptr));
 }
 
-void FastChain::dispatch_from(Fiber* self, bool to_sched) {
-  if (!to_sched) {
-    const std::uint32_t i = next_++;
-    if (i < count_) {
-      Fiber* to = fibers_[order_[i]];
-      current_ = to;
-      tls_current = to;
-      ACCRED_TSAN_TO(to->tsan_fiber_);
-      accred_ctx_switch(&self->self_sp_, to->self_sp_);
-      return;  // a later pass re-entered `self`
-    }
+void FastChain::enter_next(Fiber* self) {
+  if (next_ < count_) {
+    const std::uint32_t lane = order_[next_++];
+    Fiber* to = lane_fiber_[lane];
+    if (to == nullptr) to = take_fiber(lane);
+    current_ = to;
+    tls_current = to;
+    ACCRED_TSAN_TO(to->tsan_fiber_);
+    switch_context(self->self_ctx_, to->self_ctx_);
+    return;  // `self` was entered again: its parked lane resumes, or it
+             // was lent to start lane_
   }
   ACCRED_TSAN_TO(tsan_sched_);
-  accred_ctx_switch(&self->self_sp_, sched_sp_);
-  // A later pass re-entered `self` (parked lanes only; finished lanes are
-  // never switched back into).
+  switch_context(self->self_ctx_, sched_ctx_);
 }
 
-void FastChain::park() { dispatch_from(current_, /*to_sched=*/false); }
+void FastChain::park() { enter_next(current_); }
 
-void FastChain::leave() {
-  Fiber* self = current_;
-  self->done_ = true;
-  // A faulting lane aborts the pass before any later lane runs.
-  dispatch_from(self, /*to_sched=*/self->eptr_ != nullptr);
-}
-
-#else  // ucontext fallback
-
-namespace {
-void validate_stack_size(std::size_t n) {
-  if (n % 16 != 0 || n < 4096) {
-    throw std::invalid_argument(
-        "fiber stack size must be >=4096 and 16-aligned");
-  }
-}
-}  // namespace
-
-Fiber::Fiber(std::size_t stack_size) : stack_size_(stack_size) {
-  validate_stack_size(stack_size_);
-  owned_ = std::make_unique<std::byte[]>(stack_size_);
-  stack_base_ = owned_.get();
-#if defined(ACCRED_TSAN_FIBERS)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
-}
-
-Fiber::Fiber(std::byte* stack, std::size_t stack_size)
-    : stack_size_(stack_size), stack_base_(stack) {
-  validate_stack_size(stack_size_);
-#if defined(ACCRED_TSAN_FIBERS)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
-}
-
-Fiber::~Fiber() {
-  assert(done_);
-#if defined(ACCRED_TSAN_FIBERS)
-  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
-#endif
-}
-
-void Fiber::trampoline() {
-  Fiber* self = tls_current;
-  try {
-    self->raw_entry_(self->raw_arg_);
-  } catch (...) {
-    self->eptr_ = capture_current_exception();
-  }
-  self->done_ = true;
-  // See the asm variant: never abort the process on a stray re-resume.
+void FastChain::lane_loop(void* chain) {
+  FastChain& c = *static_cast<FastChain*>(chain);
   for (;;) {
-    ACCRED_TSAN_OUT(self);
-    swapcontext(&self->self_ctx_, &self->caller_ctx_);
-  }
-}
-
-void Fiber::prepare_stack() {
-  getcontext(&self_ctx_);
-  self_ctx_.uc_stack.ss_sp = stack_base_;
-  self_ctx_.uc_stack.ss_size = stack_size_;
-  self_ctx_.uc_link = nullptr;
-  makecontext(&self_ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
-}
-
-void Fiber::reset(RawEntry entry, void* arg) {
-  assert(done_);
-  raw_entry_ = entry;
-  raw_arg_ = arg;
-  eptr_ = nullptr;
-  done_ = false;
-  prepare_stack();
-}
-
-void Fiber::resume() {
-  assert(!done_);
-  Fiber* prev = tls_current;
-  tls_current = this;
-  ACCRED_TSAN_IN(this);
-  swapcontext(&caller_ctx_, &self_ctx_);
-  tls_current = prev;
-  if (done_ && eptr_) {
-    std::exception_ptr e = std::exchange(eptr_, nullptr);
-    std::rethrow_exception(e);
-  }
-}
-
-void Fiber::yield() {
-  Fiber* self = tls_current;
-  assert(self != nullptr);
-  ACCRED_TSAN_OUT(self);
-  swapcontext(&self->self_ctx_, &self->caller_ctx_);
-}
-
-void FastChain::run(Fiber* const* fibers, const std::uint32_t* order,
-                    std::uint32_t count) {
-  assert(count >= 1);
-  fibers_ = fibers;
-  order_ = order;
-  count_ = count;
-  next_ = 1;
-  Fiber* first = fibers[order[0]];
-  assert(!first->done());
-  current_ = first;
-  Fiber* prev = tls_current;
-  tls_current = first;
-#if defined(ACCRED_TSAN_FIBERS)
-  tsan_sched_ = __tsan_get_current_fiber();
-  ACCRED_TSAN_TO(first->tsan_fiber_);
-#endif
-  swapcontext(&sched_ctx_, &first->self_ctx_);
-  tls_current = prev;
-  Fiber* last = current_;
-  if (last->eptr_) {
-    std::exception_ptr e = std::exchange(last->eptr_, nullptr);
-    std::rethrow_exception(e);
-  }
-}
-
-void FastChain::dispatch_from(Fiber* self, bool to_sched) {
-  if (!to_sched) {
-    const std::uint32_t i = next_++;
-    if (i < count_) {
-      Fiber* to = fibers_[order_[i]];
-      current_ = to;
-      tls_current = to;
-      ACCRED_TSAN_TO(to->tsan_fiber_);
-      swapcontext(&self->self_ctx_, &to->self_ctx_);
-      return;  // a later pass re-entered `self`
+    const std::uint32_t lane = c.lane_;
+    try {
+      c.body_(c.arg_, lane);
+    } catch (...) {
+      c.eptr_ = Fiber::capture_current_exception();
     }
+    // Stacks switch only after the handler has exited: libstdc++ keeps its
+    // caught-exception stack per OS thread, not per fiber.
+    Fiber* self = c.current_;
+    if (c.eptr_) {
+      // A failing lane stops the pass before any later lane runs. It keeps
+      // its fiber, never to be entered again, until the caller's reset().
+      c.next_ = c.count_;
+    } else {
+      c.lane_fiber_[lane] = nullptr;
+      if (c.next_ < c.count_ && c.lane_fiber_[c.order_[c.next_]] == nullptr) {
+        // The next lane has not started: run it right here.
+        c.lane_ = c.order_[c.next_++];
+        c.lane_fiber_[c.lane_] = self;
+        continue;
+      }
+      self->done_ = true;
+      c.free_.push_back(self);
+    }
+    // Returns only once take_fiber() lends this fiber to another lane.
+    c.enter_next(self);
   }
-  ACCRED_TSAN_TO(tsan_sched_);
-  swapcontext(&self->self_ctx_, &sched_ctx_);
 }
-
-void FastChain::park() { dispatch_from(current_, /*to_sched=*/false); }
-
-void FastChain::leave() {
-  Fiber* self = current_;
-  self->done_ = true;
-  dispatch_from(self, /*to_sched=*/self->eptr_ != nullptr);
-}
-
-#endif
 
 }  // namespace accred::gpusim

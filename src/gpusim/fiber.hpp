@@ -1,16 +1,17 @@
-// Stackful fibers used to give every simulated GPU thread its own
-// suspendable execution context, so device code can call `syncthreads()`
-// anywhere (including inside nested loops) exactly as CUDA kernels do.
+// Stackful fibers used to give simulated GPU threads suspendable execution
+// contexts, so device code can call `syncthreads()` anywhere (including
+// inside nested loops) exactly as CUDA kernels do.
 //
 // On x86_64 a hand-rolled callee-saved-register context switch is used
-// (a few ns per switch); other platforms fall back to POSIX ucontext.
+// (a few ns per switch); other platforms fall back to POSIX ucontext. The
+// two backends differ only in the register switch and the initial frame.
 //
 // Two protocols drive a fiber (DESIGN.md §12):
-//   * FastChain: how the block scheduler runs every lane — it enters a
-//     ready list once and each suspending lane transfers control straight
-//     into the next lane's fiber (one switch per suspension, no scheduler
-//     frame in between), returning to the scheduler only when the whole
-//     pass has parked, completed, or faulted;
+//   * FastChain: how the block scheduler runs lanes. A lane gets a pooled
+//     fiber only when a pass first enters it; lanes that finish without
+//     suspending run back to back on one fiber with no context switch, and
+//     each suspending lane transfers control straight into the next lane
+//     (one switch per suspension, no scheduler frame in between);
 //   * resume()/yield(): the plain pairwise protocol for a standalone fiber
 //     (two switches per suspension), used by the fiber unit tests and the
 //     switch-cost probes.
@@ -20,6 +21,8 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
+#include <vector>
 
 #if !defined(ACCRED_FIBER_ASM)
 #include <ucontext.h>
@@ -38,16 +41,25 @@
 
 namespace accred::gpusim {
 
+namespace detail {
+/// Saved state of a suspended context: the stack pointer for the x86_64
+/// switch, a full ucontext_t for the fallback.
+#if defined(ACCRED_FIBER_ASM)
+using MachineContext = void*;
+#else
+using MachineContext = ucontext_t;
+#endif
+}  // namespace detail
+
 class FastChain;
 
 /// A reusable fiber stack. Stacks are the expensive part of a fiber, so the
-/// block scheduler keeps a pool of them (FiberStackPool, pool.hpp) and
-/// re-binds entry functions per simulated thread block.
+/// block scheduler keeps a pool of them (FiberStackPool, pool.hpp) and lends
+/// them to lanes through FastChain.
 class Fiber {
 public:
   /// Allocation-free entry point: `fn(arg)` runs on the fiber's stack.
-  /// The scheduler arms one of these per simulated thread per block —
-  /// re-arming stores two pointers instead of constructing a closure.
+  /// Re-arming stores two pointers instead of constructing a closure.
   using RawEntry = void (*)(void*);
 
   /// `stack_size` must be a multiple of 16; 64 KiB is ample for the device
@@ -77,7 +89,8 @@ public:
   static void yield();
 
   /// True once the entry function has returned. resume() must not be called
-  /// again until reset().
+  /// again until reset(). A FastChain pool fiber is also done() while it
+  /// idles on the free list: its stack then holds no lane's frames.
   [[nodiscard]] bool done() const noexcept { return done_; }
 
   /// Abandon a suspended fiber after a fatal simulation error: marks it
@@ -94,16 +107,12 @@ public:
   /// LaunchError so top-level handlers always have a what() to print. Only
   /// callable from inside a catch block.
   [[nodiscard]] static std::exception_ptr capture_current_exception();
-  /// Store the exception resume()/FastChain::run() will rethrow. Used by
-  /// the scheduler's lane entry, which catches at the kernel boundary
-  /// instead of relying on the trampoline's handler.
-  void set_exception(std::exception_ptr e) noexcept { eptr_ = std::move(e); }
 
 private:
   friend class FastChain;
 
   static void trampoline();
-  void prepare_stack();
+  void prepare_stack();  ///< backend-specific initial frame -> trampoline()
 
   std::size_t stack_size_;
   std::byte* stack_base_ = nullptr;        // start of the usable stack
@@ -113,13 +122,8 @@ private:
   std::exception_ptr eptr_;
   bool done_ = true;  // no entry armed yet
 
-#if defined(ACCRED_FIBER_ASM)
-  void* self_sp_ = nullptr;    // fiber's saved stack pointer while suspended
-  void* caller_sp_ = nullptr;  // resumer's saved stack pointer while running
-#else
-  ucontext_t self_ctx_{};
-  ucontext_t caller_ctx_{};
-#endif
+  detail::MachineContext self_ctx_{};    // fiber's context while suspended
+  detail::MachineContext caller_ctx_{};  // resumer's context while running
 
 #if defined(ACCRED_TSAN_FIBERS)
   void* tsan_fiber_ = nullptr;   // TSan-side context for this fiber
@@ -127,52 +131,78 @@ private:
 #endif
 };
 
-/// Converged-warp pass driver: runs an ordered list of lane fibers with one
-/// context switch per suspension instead of two. The scheduler calls run()
-/// once per pass; each lane that suspends (park()) or finishes (leave())
-/// transfers control directly into the next unstarted lane's fiber, and the
-/// last lane — or the first faulting one — returns to the scheduler frame.
+/// Converged-warp pass driver with lazy fiber binding. The scheduler calls
+/// run() once per pass over an ordered list of lane ids; each lane runs,
+/// in list order, until it finishes or suspends (park()), and the last
+/// lane returns control to the scheduler frame.
 ///
-/// Lanes start in list order, a lane exception stops the pass before any
-/// later lane runs (run() rethrows it, like Fiber::resume() would), and
-/// fibers parked by park() are re-entered by a later run(). Lane entries
-/// must end in leave(), never by returning into the trampoline, and a fiber
-/// driven by run() passes must not be resume()d: park() does not maintain
-/// the caller-frame bookkeeping yield() relies on.
+///   * A lane takes a fiber from a LIFO free list of the caller's pooled
+///     fibers only when a pass first enters it.
+///   * When a lane finishes and the next lane of the pass has not started,
+///     the same fiber runs that lane in a loop, with no context switch.
+///   * A lane that parks keeps its fiber until it finishes; a later pass
+///     switches straight back into it.
+///   * A fiber returns to the free list only when its lane finishes and the
+///     next lane is parked, or when the pass ends.
+///
+/// A lane exception stops the pass before any later lane runs, and run()
+/// rethrows it. The caller must then reset() the chain, which abandons
+/// every unfinished lane and refills the free list. The free list cannot
+/// run dry as long as the pool holds a fiber per lane: each started,
+/// unfinished lane holds one. Pool fibers belong to the chain and must not
+/// be resume()d: park() does not maintain the caller-frame bookkeeping
+/// yield() relies on.
 class FastChain {
 public:
-  /// Run every lane of `order` (indices into `fibers`) once to its next
-  /// suspension point. Returns when the pass is complete; rethrows the
-  /// first lane exception. `count` must be >= 1.
-  void run(Fiber* const* fibers, const std::uint32_t* order,
-           std::uint32_t count);
+  /// Lane entry: runs lane `lane` to completion on whatever fiber the
+  /// chain lends it. May suspend through park() and may throw; the chain
+  /// catches at this boundary.
+  using LaneBody = void (*)(void* arg, std::uint32_t lane);
 
-  /// Lane side: suspend the running lane mid-kernel (it stays resumable)
+  FastChain(LaneBody body, void* arg) noexcept : body_(body), arg_(arg) {}
+  FastChain(const FastChain&) = delete;
+  FastChain& operator=(const FastChain&) = delete;
+
+  /// Take every fiber of `pool` back onto the free list with a fresh
+  /// frame, abandoning any lane it still holds, and mark lanes
+  /// [0, pool.size()) as not started. Call after (re)building the pool and
+  /// after run() threw.
+  void reset(std::span<const std::unique_ptr<Fiber>> pool);
+
+  /// Run every lane of `order` (lane ids below the pool size) once to its
+  /// next suspension point or to completion. Returns when the pass is
+  /// complete; rethrows the first lane exception. `count` must be >= 1.
+  void run(const std::uint32_t* order, std::uint32_t count);
+
+  /// Lane side: suspend the running lane mid-kernel (it keeps its fiber)
   /// and continue the pass. Returns when a later pass re-enters the lane.
   void park();
 
-  /// Lane side: the running lane is finished — normally or with its
-  /// exception already stored via Fiber::set_exception(). Marks the fiber
-  /// done, abandons its frame, and continues the pass; on a stored
-  /// exception the pass aborts straight to the scheduler. Never returns
-  /// into a frame that is resumed again.
-  void leave();
-
 private:
-  /// Transfer control out of `self` into the next unstarted lane, or back
-  /// to the scheduler frame when the list is exhausted (or `to_sched`).
-  void dispatch_from(Fiber* self, bool to_sched);
+  /// Entry of every pooled fiber: runs lane after lane of the pass until
+  /// one suspends or fails, the next lane already holds a fiber, or the
+  /// pass ends.
+  [[noreturn]] static void lane_loop(void* chain);
+  /// Transfer control out of `self` into the next lane of the pass, or
+  /// back to the scheduler frame when the list is exhausted.
+  void enter_next(Fiber* self);
+  /// Pop the most recently freed fiber and bind it to `lane`, which it
+  /// starts when entered.
+  Fiber* take_fiber(std::uint32_t lane);
 
-  Fiber* const* fibers_ = nullptr;
+  LaneBody body_;
+  void* arg_;
+  /// Per lane id: the fiber a started, unfinished lane holds; null before
+  /// the lane starts and after it finishes.
+  std::vector<Fiber*> lane_fiber_;
+  std::vector<Fiber*> free_;  ///< idle pooled fibers, most recent last
   const std::uint32_t* order_ = nullptr;
   std::uint32_t count_ = 0;
-  std::uint32_t next_ = 0;          ///< next order_ index to enter
-  Fiber* current_ = nullptr;        ///< lane holding control (eptr lookup)
-#if defined(ACCRED_FIBER_ASM)
-  void* sched_sp_ = nullptr;        ///< scheduler frame while a pass runs
-#else
-  ucontext_t sched_ctx_{};
-#endif
+  std::uint32_t next_ = 0;    ///< next order_ index to enter
+  std::uint32_t lane_ = 0;    ///< lane that lane_loop() starts next
+  Fiber* current_ = nullptr;  ///< fiber holding control
+  std::exception_ptr eptr_;   ///< the failing lane's exception, for run()
+  detail::MachineContext sched_ctx_{};  ///< scheduler frame during a pass
 #if defined(ACCRED_TSAN_FIBERS)
   void* tsan_sched_ = nullptr;
 #endif

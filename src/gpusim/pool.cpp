@@ -80,7 +80,13 @@ bool FiberStackPool::ensure(std::size_t count, std::size_t stack_bytes) {
   // alternating block shapes settles on the largest and stops reallocating.
   count = std::max(count, count_);
   stack_bytes = std::max(stack_bytes, stack_bytes_);
-  slab_ = std::make_unique<std::byte[]>(count * (stack_bytes + kStagger));
+  // Not zero-filled: no code reads a stack byte it did not write (a fiber's
+  // initial frame is built by Fiber::prepare_stack()). Value-initializing
+  // would commit the whole slab up front — 64 MiB for one 1024-thread block
+  // — where building the pool touches one page per stack and lanes that
+  // never suspend share a single stack.
+  slab_ = std::make_unique_for_overwrite<std::byte[]>(
+      count * (stack_bytes + kStagger));
   count_ = count;
   stack_bytes_ = stack_bytes;
   return true;

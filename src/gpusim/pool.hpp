@@ -140,10 +140,12 @@ void set_default_sim_threads(std::uint32_t n);
 inline constexpr std::uint32_t kMaxSimThreads = 256;
 
 /// One contiguous slab of fiber stacks, recycled across thread blocks and
-/// launches. Each tls_scheduler() owns one: a block only reallocates when
-/// its shape outgrows every block the scheduler has seen, so steady-state
-/// simulation performs zero stack allocations. Contiguity keeps the lane
-/// stacks of one warp adjacent, which the chained warp pass walks in order.
+/// launches. Each tls_scheduler() owns one, with a pooled fiber per stack:
+/// a block only reallocates when its shape outgrows every block the
+/// scheduler has seen, so steady-state simulation performs zero stack
+/// allocations. The chain lends the most recently freed fiber first, so
+/// lanes that never suspend keep reusing one hot stack, and only stacks
+/// that a lane actually ran on are ever committed.
 class FiberStackPool {
 public:
   /// Ensure capacity for `count` stacks of `stack_bytes` each (16-aligned).
@@ -164,10 +166,10 @@ public:
   /// Extra bytes between consecutive stacks. Stack sizes are round numbers
   /// (the 64 KiB default is a power of two), which would place every
   /// stack's *top* — the bytes a context switch reads and writes — at the
-  /// same L1 set: a 128-thread block then cycles 128 hot stack tops through
-  /// a handful of cache ways. 320 is 16-aligned (the fiber ABI requirement)
-  /// but not a multiple of the 4 KiB set span, so successive tops walk all
-  /// L1 sets.
+  /// same L1 set: a 128-thread block whose lanes all park at a barrier then
+  /// holds 128 fibers and cycles their hot stack tops through a handful of
+  /// cache ways. 320 is 16-aligned (the fiber ABI requirement) but not a
+  /// multiple of the 4 KiB set span, so successive tops walk all L1 sets.
   static constexpr std::size_t kStagger = 320;
 
 private:

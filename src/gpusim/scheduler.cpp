@@ -37,22 +37,12 @@ std::uint64_t default_max_steps() {
   return parsed;
 }
 
-void BlockScheduler::run_thread(void* arg) {
-  const LaneArg& a = *static_cast<LaneArg*>(arg);
-  BlockScheduler& s = *a.sched;
-  const std::uint32_t t = a.tid;
-  // Catch at the kernel boundary and hand control straight to the next
-  // lane in the pass — the trampoline's handler and final switch-back
-  // never run (leave() abandons this frame).
-  try {
-    ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
-                  s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
-    (*s.cur_kernel_)(ctx);
-    s.block_.phase[t] = ThreadPhase::kDone;
-  } catch (...) {
-    s.fibers_[t]->set_exception(Fiber::capture_current_exception());
-  }
-  s.chain_.leave();  // never returns
+void BlockScheduler::run_thread(void* arg, std::uint32_t t) {
+  BlockScheduler& s = *static_cast<BlockScheduler*>(arg);
+  ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
+                s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
+  (*s.cur_kernel_)(ctx);
+  s.block_.phase[t] = ThreadPhase::kDone;
 }
 
 void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
@@ -68,10 +58,9 @@ void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
   std::vector<std::uint32_t>& arrived = block_.warp_pending[w];
   for (;;) {
     if (!ready_.empty()) {
-      // One chained pass: lane -> lane -> ... -> scheduler, a single
-      // context switch per suspension, lanes entered in list order.
-      chain_.run(fiber_raw_.data(), ready_.data(),
-                 static_cast<std::uint32_t>(ready_.size()));
+      // One chained pass, lanes entered in list order: a single context
+      // switch per suspension, none between lanes that run to completion.
+      chain_.run(ready_.data(), static_cast<std::uint32_t>(ready_.size()));
     }
     // Every resumed lane is now parked at syncwarp (listed in `arrived`),
     // at the block barrier, or done.
@@ -165,34 +154,24 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
   block_.strict_barriers = opts_.strict_barriers;
   block_.chain = &chain_;
 
-  // Lane stacks come from the pooled slab: steady-state blocks reuse both
-  // the slab and the Fiber objects, so arming a lane is two stored pointers
-  // plus the prepared initial frame. A reallocating ensure() (first block,
-  // or a larger shape/stack request) invalidates every bound fiber.
-  if (stacks_.ensure(nthreads, opts_.stack_bytes)) {
-    fibers_.clear();
-    fiber_raw_.clear();
-  }
-  while (fibers_.size() < nthreads) {
-    const std::size_t i = fibers_.size();
-    fibers_.push_back(
-        std::make_unique<Fiber>(stacks_.stack(i), stacks_.stack_bytes()));
-    fiber_raw_.push_back(fibers_.back().get());
+  // Lane stacks come from the pooled slab, one pooled fiber each. The chain
+  // lends a fiber to a lane only when a pass first enters it, so arming a
+  // block touches no fiber. A reallocating ensure() (first block, or a
+  // larger shape/stack request) rebuilds the pool over the new slab; if a
+  // rebuild throws, the next block finishes it before any lane runs.
+  if (stacks_.ensure(nthreads, opts_.stack_bytes)) fibers_.clear();
+  if (fibers_.size() < stacks_.count()) {
+    while (fibers_.size() < stacks_.count()) {
+      fibers_.push_back(std::make_unique<Fiber>(stacks_.stack(fibers_.size()),
+                                                stacks_.stack_bytes()));
+    }
+    chain_.reset(fibers_);
   }
 
   cur_kernel_ = &kernel;
   cur_block_idx_ = block_idx;
   cur_block_dim_ = block_dim;
   cur_grid_dim_ = grid_dim;
-  if (lane_args_.size() < nthreads) {
-    lane_args_.resize(nthreads);
-    for (std::uint32_t t = 0; t < lane_args_.size(); ++t) {
-      lane_args_[t] = LaneArg{this, t};
-    }
-  }
-  for (std::uint32_t t = 0; t < nthreads; ++t) {
-    fibers_[t]->reset(&BlockScheduler::run_thread, &lane_args_[t]);
-  }
 
   // Structured-error site: coordinates + stage of the implicated thread.
   const auto site_info = [&](LaunchErrorCode code, std::string message,
@@ -331,12 +310,11 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
     }
   } catch (const LaunchError& e) {
     // A device-side fault (OOB access, strict-barrier violation, user
-    // exception) leaves sibling fibers suspended mid-kernel. Abandon them:
-    // their stacks are reclaimed, their frame-local objects are not
-    // destroyed (they are trivial device-side values by construction).
-    for (auto& f : fibers_) {
-      if (!f->done()) f->abandon();
-    }
+    // exception) leaves lanes suspended mid-kernel, each holding a fiber.
+    // Abandon them and refill the free list before the next block: their
+    // frame-local objects are not destroyed (they are trivial device-side
+    // values by construction).
+    chain_.reset(fibers_);
     // This block's BlockRun dies with the throw, so injected faults that
     // already fired here (including a warp_abort's own event) ride on the
     // error — recovery harnesses keep their campaign accounting.
@@ -351,9 +329,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
     }
     throw;
   } catch (...) {
-    for (auto& f : fibers_) {
-      if (!f->done()) f->abandon();
-    }
+    chain_.reset(fibers_);
     throw;
   }
 

@@ -139,18 +139,11 @@ private:
   /// releasing syncwarp rendezvous along the way.
   void advance_warp(std::uint32_t w, std::uint32_t nthreads);
 
-  /// Fiber entry point for one simulated thread (Fiber::RawEntry): builds
-  /// the ThreadCtx, runs the current kernel, catches at the kernel boundary
-  /// and leave()s the pass — it never returns into the trampoline. Arming
-  /// it stores two pointers per lane per block — no closure allocation.
-  /// `arg` is a LaneArg.
-  static void run_thread(void* arg);
-
-  /// Per-lane argument for run_thread; stable for the duration of a block.
-  struct LaneArg {
-    BlockScheduler* sched;
-    std::uint32_t tid;
-  };
+  /// Lane body for the chain (FastChain::LaneBody): builds thread `tid`'s
+  /// ThreadCtx and runs the current kernel to completion on whatever fiber
+  /// the chain lends it; the chain catches any exception at this boundary.
+  /// `arg` is the scheduler.
+  static void run_thread(void* arg, std::uint32_t tid);
 
   SimOptions opts_;
   BlockState block_;
@@ -158,10 +151,9 @@ private:
   RaceChecker racecheck_;       ///< per-block shadow state when racechecking
   BlockFaults faults_;          ///< per-block injector state when armed
   FiberStackPool stacks_;       ///< pooled lane stacks, recycled per block
-  FastChain chain_;             ///< warp pass driver (DESIGN.md §12)
-  std::vector<std::unique_ptr<Fiber>> fibers_;
-  std::vector<Fiber*> fiber_raw_;     ///< fibers_[i].get(), chain_.run input
-  std::vector<LaneArg> lane_args_;    ///< run_thread args, one per lane
+  std::vector<std::unique_ptr<Fiber>> fibers_;  ///< one per pooled stack
+  /// Warp pass driver (DESIGN.md §12): lends fibers_ to lanes on demand.
+  FastChain chain_{&BlockScheduler::run_thread, this};
   std::vector<std::uint32_t> ready_;  ///< advance_warp scratch: runnable tids
 
   // Launch parameters of the block currently simulating, for run_thread.

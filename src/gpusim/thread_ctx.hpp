@@ -60,8 +60,8 @@ struct BlockState {
   BlockFaults* faults = nullptr;
   /// Pass driver of the block being simulated (DESIGN.md §12). Armed by
   /// the scheduler before any lane runs; the barrier suspend sites park
-  /// through it so a suspending lane switches straight into the next lane
-  /// of the pass.
+  /// through it, so a suspending lane keeps its fiber and switches straight
+  /// into the next lane of the pass.
   FastChain* chain = nullptr;
   std::uint64_t barriers = 0;           ///< syncthreads executed by the block
   std::uint64_t syncwarps = 0;
@@ -266,8 +266,8 @@ public:
   }
 
 private:
-  /// Park this lane until the scheduler's next pass re-enters it: one
-  /// switch, straight into the next lane of the pass.
+  /// Park this lane, on the fiber it holds, until the scheduler's next pass
+  /// re-enters it: one switch, straight into the next lane of the pass.
   void suspend() { block_->chain->park(); }
 
   /// Stage id reports attribute this thread's accesses to. thread_stage is

@@ -1,10 +1,13 @@
 // Determinism oracle for the block scheduler's chained lane protocol
 // (FastChain, DESIGN.md §12). The kClassic* digests below were captured
-// from the deleted per-lane resume()/yield() driver at sim_threads 1; the
-// chained pass must reproduce its LaunchStats, per-stage profiles,
-// racecheck reports, fault-injection events and kernel outputs bit for bit
-// at sim_threads 1 and 4 — on a clean divergent tree, under a two-fault
-// campaign, and for a barrier-deletion mutant.
+// from the deleted per-lane resume()/yield() driver at sim_threads 1, and
+// kPerLaneMixed from the chained pass while it still armed one fiber per
+// lane per block. The chain with lazy fiber binding must reproduce their
+// LaunchStats, per-stage profiles, racecheck reports, fault-injection
+// events and kernel outputs bit for bit at sim_threads 1 and 4 — on a
+// clean divergent tree, under a two-fault campaign, for a barrier-deletion
+// mutant (every lane parks in all three), and for a launch that mixes
+// lanes that never park with lanes that do.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,6 +71,9 @@ std::uint64_t digest(const LaunchStats& s, const std::vector<float>& out) {
 constexpr std::uint64_t kClassicClean = 0x0dfe7eba824a6795ULL;
 constexpr std::uint64_t kClassicCampaign = 0xeb6eced867cab227ULL;
 constexpr std::uint64_t kClassicMutant = 0x52edc7805bd62f20ULL;
+// Captured from the per-lane fiber binding (sim_threads = 1) before lanes
+// that never suspend started sharing one fiber.
+constexpr std::uint64_t kPerLaneMixed = 0x502cd39d6f920ebcULL;
 
 /// Divergent tree reduction exercising every gated output: a grid-stride
 /// load loop with lane-dependent extra work (intra-warp divergence), shared
@@ -143,6 +149,102 @@ struct DivergentTreeFixture {
     return {out.host_span().begin(), out.host_span().end()};
   }
 };
+
+/// One launch, three kinds of blocks (blockIdx.x % 3):
+///   0 — every lane returns before any barrier, so a pass runs all 32
+///       lanes of a warp back to back;
+///   1 — lanes with lane % 4 == 1 return after staging while their warp
+///       neighbours park at syncwarp, so one pass interleaves lanes that
+///       finish with lanes that park, and the next pass resumes parked
+///       lanes whose predecessors finished;
+///   2 — the divergent block_tree_reduce, where every lane parks.
+struct MixedLanesFixture {
+  static constexpr std::uint32_t kBlocks = 24;
+  static constexpr std::uint32_t kThreads = 128;
+  static constexpr std::size_t kN = std::size_t{1} << 14;
+
+  Device dev;
+  gpusim::DeviceBuffer<float> data{dev.alloc<float>(kN)};
+  gpusim::DeviceBuffer<float> out{dev.alloc<float>(kBlocks * kThreads)};
+  gpusim::SharedLayout layout;
+  gpusim::SharedView<float> sbuf{layout.add<float>(kThreads)};
+  acc::RuntimeOp<float> rop{acc::ReductionOp::kSum};
+
+  MixedLanesFixture() {
+    auto host = data.host_span();
+    for (std::size_t i = 0; i < kN; ++i) {
+      host[i] = 0.25F * static_cast<float>(i % 157) - 9.0F;
+    }
+  }
+
+  LaunchStats run(std::uint32_t sim_threads, const std::string& faults) {
+    out.fill(0.0F);
+    auto dv = data.view();
+    auto ov = out.view();
+    auto sb = sbuf;
+    auto op = rop;
+    SimOptions opts;
+    opts.sim_threads = sim_threads;
+    opts.profile = true;
+    opts.racecheck = true;
+    opts.faults = faults;
+    return gpusim::launch(
+        dev, {kBlocks}, {kThreads}, layout.bytes(),
+        [=](ThreadCtx& ctx) {
+          const std::uint32_t t = ctx.threadIdx.x;
+          const std::size_t g = ctx.blockIdx.x * kThreads + t;
+          float priv = 0;
+          {
+            auto s = ctx.prof_scope("load");
+            for (std::size_t i = g; i < kN; i += kBlocks * kThreads) {
+              priv += ctx.ld(dv, i);
+            }
+          }
+          if (ctx.blockIdx.x % 3 == 0) {
+            auto s = ctx.prof_scope("solo");
+            if (t % 5 == 0) ctx.alu(3.0);
+            ctx.st(ov, g, priv);
+            return;
+          }
+          {
+            auto s = ctx.prof_scope("stage");
+            ctx.sts(sb, t, priv);
+          }
+          if (ctx.blockIdx.x % 3 == 1) {
+            auto s = ctx.prof_scope("warp");
+            if (t % 4 == 1) {
+              ctx.st(ov, g, priv);
+              return;
+            }
+            ctx.syncwarp();
+            ctx.st(ov, g, priv + 0.5F * ctx.lds(sb, t ^ 1U));
+            return;
+          }
+          reduce::block_tree_reduce(ctx, sb, 0, kThreads, 1, t, op);
+          if (t == 0) ctx.st(ov, g, ctx.lds(sb, 0));
+        },
+        opts);
+  }
+
+  std::vector<float> outputs() const {
+    return {out.host_span().begin(), out.host_span().end()};
+  }
+};
+
+TEST(Fastpath, MixedLanesMatchPerLaneDigest) {
+  // One seeded bit flip in a mixed warp of block 4 (a kind-1 block).
+  const std::string campaign = "bitflip@warp:block=4,nth=2,seed=11";
+  MixedLanesFixture fix;
+  for (std::uint32_t threads : {1U, 4U}) {
+    const LaunchStats got = fix.run(threads, campaign);
+    EXPECT_GT(got.barriers, 0U);
+    EXPECT_GT(got.syncwarps, 0U);
+    EXPECT_EQ(got.races, 0U);
+    ASSERT_EQ(got.fault_events.size(), 1U);
+    EXPECT_EQ(kPerLaneMixed, digest(got, fix.outputs()))
+        << "sim_threads=" << threads;
+  }
+}
 
 TEST(Fastpath, CleanTreeMatchesClassicDigest) {
   DivergentTreeFixture fix;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "gpusim/launch.hpp"
@@ -282,6 +283,98 @@ TEST(Simt, NonMultipleOf32BlockRuns) {
     ctx.syncthreads();
   });
   for (int m : out.host_span()) EXPECT_EQ(m, 1);
+}
+
+// ---- Lazy fiber binding (FastChain, DESIGN.md §12) ------------------------
+// Single-threaded so every block runs on this thread's scheduler.
+
+SimOptions serial_options() {
+  SimOptions opts;
+  opts.sim_threads = 1;
+  return opts;
+}
+
+TEST(Simt, LanesThatNeverSuspendShareAFiber) {
+  // A lane that finishes hands its fiber to the next lane of the pass.
+  Device dev;
+  constexpr std::uint32_t kN = 128;
+  std::vector<Fiber*> seen(kN, nullptr);
+  launch(
+      dev, {1}, {kN}, 0,
+      [&](ThreadCtx& ctx) { seen[ctx.linear_tid()] = Fiber::current(); },
+      serial_options());
+  for (std::uint32_t t = 0; t < kN; ++t) {
+    ASSERT_NE(seen[t], nullptr) << "lane " << t;
+    EXPECT_EQ(seen[t], seen[t / 32 * 32]) << "lane " << t;
+  }
+}
+
+TEST(Simt, ParkedLaneKeepsItsFiber) {
+  Device dev;
+  constexpr std::uint32_t kN = 64;
+  std::vector<Fiber*> before(kN, nullptr);
+  std::vector<Fiber*> after(kN, nullptr);
+  const LaunchStats stats = launch(
+      dev, {1}, {kN}, 0,
+      [&](ThreadCtx& ctx) {
+        before[ctx.linear_tid()] = Fiber::current();
+        ctx.syncthreads();
+        after[ctx.linear_tid()] = Fiber::current();
+      },
+      serial_options());
+  EXPECT_EQ(stats.barriers, 1u);
+  std::set<Fiber*> held;
+  for (std::uint32_t t = 0; t < kN; ++t) {
+    ASSERT_NE(before[t], nullptr) << "lane " << t;
+    EXPECT_EQ(before[t], after[t]) << "lane " << t;
+    held.insert(before[t]);
+  }
+  EXPECT_EQ(held.size(), kN);  // all 64 lanes were parked at once
+}
+
+TEST(Simt, FaultAfterFiberReuse) {
+  // Lanes 0-39 of a barrier-free block run on one fiber, then lane 40
+  // faults on it and keeps it. The scheduler must refill the free list
+  // before the next block on this thread, in which every lane parks and
+  // so holds a fiber of its own.
+  Device dev;
+  constexpr std::uint32_t kN = 64;
+  auto buf = dev.alloc<int>(kN);
+  auto v = buf.view();
+  std::vector<Fiber*> seen(kN, nullptr);
+  EXPECT_THROW(launch(
+                   dev, {1}, {kN}, 0,
+                   [&](ThreadCtx& ctx) {
+                     const std::uint32_t t = ctx.linear_tid();
+                     seen[t] = Fiber::current();
+                     if (t == 40) (void)ctx.ld(v, kN);  // out of bounds
+                   },
+                   serial_options()),
+               std::out_of_range);
+  for (std::uint32_t t = 0; t <= 40; ++t) {
+    ASSERT_NE(seen[t], nullptr) << "lane " << t;
+    EXPECT_EQ(seen[t], seen[0]) << "lane " << t;
+  }
+  for (std::uint32_t t = 41; t < kN; ++t) {
+    EXPECT_EQ(seen[t], nullptr) << "lane " << t << " ran after the fault";
+  }
+
+  SharedLayout layout;
+  auto sbuf = layout.add<int>(kN);
+  buf.fill(0);
+  const LaunchStats stats = launch(
+      dev, {1}, {kN}, layout.bytes(),
+      [&](ThreadCtx& ctx) {
+        const std::uint32_t t = ctx.linear_tid();
+        ctx.sts(sbuf, t, static_cast<int>(t) + 1);
+        ctx.syncthreads();
+        ctx.st(v, t, ctx.lds(sbuf, (t + 33) % kN));
+      },
+      serial_options());
+  EXPECT_EQ(stats.barriers, 1u);
+  for (std::uint32_t t = 0; t < kN; ++t) {
+    EXPECT_EQ(buf.host_span()[t], static_cast<int>((t + 33) % kN) + 1);
+  }
 }
 
 }  // namespace
