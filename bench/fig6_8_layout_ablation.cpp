@@ -8,8 +8,8 @@
 // Flags: --r N (reduction extent, default 2^16)
 //        --profile (per-stage attribution tables, obs/profiler.hpp)
 //        --racecheck (dynamic race detection, gpusim/racecheck.hpp; the
-//                     six variants must all be race-free — tools/
-//                     racecheck_report gates on the JSON record)
+//                     six variants must all be race-free —
+//                     `accred_report race` gates on the JSON record)
 //        --json FILE / --trace FILE (structured record / event trace)
 #include <iostream>
 

@@ -30,15 +30,16 @@
 // A second service instance ("shed") with CoDel shedding enabled takes a
 // small-then-burst single-tenant schedule; sustained modeled wait above
 // target sheds the youngest queued jobs (kShed). A third, plain instance
-// replays only the clean alice/bob jobs: tools/chaos_report asserts the
-// chaos run's clean-tenant checksum equals this baseline bit-for-bit.
+// replays only the clean alice/bob jobs: `accred_report chaos` asserts
+// the chaos run's clean-tenant checksum equals this baseline bit-for-bit.
 //
 // Flags:
 //   --r N            base reduction extent (default 256; bursts use 64r)
 //   --workers N      service executor threads (default 2)
 //   --sim-threads N  host threads per kernel launch (results identical)
 //   --metrics        attach both telemetry registries to the record
-//   --json FILE      write the accred.bench record (chaos_report input)
+//   --json FILE      write the accred.bench record (`accred_report chaos`
+//                    input)
 //   --trace FILE     chrome://tracing export (breaker / cancel / shed spans)
 #include <chrono>
 #include <cstdio>
@@ -362,8 +363,8 @@ int run(int argc, char** argv) {
       .attr("clean_checksum", hex64(clean_checksum));
   if (metrics_on) chaos.telemetry(std::move(chaos_telemetry));
 
-  // The scheduled outcome — chaos_report fails the gate on any mismatch
-  // between these and the same-named "chaos" metrics.
+  // The scheduled outcome — `accred_report chaos` fails the gate on any
+  // mismatch between these and the same-named "chaos" metrics.
   obs.record()
       .entry("expect")
       .metric("breaker_opens", 2)

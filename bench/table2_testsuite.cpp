@@ -10,10 +10,11 @@
 //   --no-copy    drop the parallel temp-copy traffic of Fig. 4
 //   --racecheck  run every cell under the dynamic race detector
 //                (gpusim/racecheck.hpp; env: ACCRED_RACECHECK); reports
-//                land in the JSON record for tools/racecheck_report
+//                land in the JSON record for `accred_report race`
 //   --faults SPEC    arm deterministic fault injection on every cell
 //                    (gpusim/faultinject.hpp grammar; env: ACCRED_FAULTS);
-//                    fired faults land in the record for tools/fault_report
+//                    fired faults land in the record for
+//                    `accred_report fault`
 //   --max-retries N  same-configuration re-runs after a failed attempt
 //                    before the degradation ladder engages (default 1)
 //   --no-degrade     retry only: never fall back to the all-barriers tree

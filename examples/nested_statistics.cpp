@@ -6,12 +6,13 @@
 //   slab_peak[slab]       = MAX over row energies     (worker level)
 //   total                 = SUM over slab peaks       (gang level)
 //
-// — the Fig. 4 chain with mixed operators.
+// — the Fig. 4 chain with mixed operators, run as one fused
+// [vector, worker, gang] chain kernel plus the gang finalize.
 //
 //   ./nested_statistics [--slabs S] [--rows R] [--samples N]
 #include <iostream>
 
-#include "reduce/cascade.hpp"
+#include "reduce/fused_cascade.hpp"
 #include "gpusim/pool.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -36,7 +37,7 @@ int run(int argc, char** argv) {
   auto peaks = dev.alloc<double>(static_cast<std::size_t>(n.nk));
   auto pv = peaks.view();
 
-  reduce::CascadeBindings<double> b;
+  reduce::FusedChainBindings<double> b;
   b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                   std::int64_t i) {
     const double v = ctx.ld(cv, std::size_t((k * n.nj + j) * n.ni + i));
@@ -47,11 +48,11 @@ int run(int argc, char** argv) {
     ctx.st(pv, std::size_t(k), r);
   };
 
-  const auto res = reduce::run_cascaded_reduction<double>(
-      dev, n, {},
-      reduce::CascadeOps{acc::ReductionOp::kSum, acc::ReductionOp::kMax,
-                         acc::ReductionOp::kSum},
-      b);
+  const std::vector<acc::FusedStage> chain = {
+      {acc::ReductionOp::kSum, acc::Par::kVector, "row_energy"},
+      {acc::ReductionOp::kMax, acc::Par::kWorker, "slab_peak"},
+      {acc::ReductionOp::kSum, acc::Par::kGang, "total"}};
+  const auto res = reduce::run_fused_chain<double>(dev, chain, n, {}, b);
 
   std::cout << "cube " << n.nk << " slabs x " << n.nj << " rows x " << n.ni
             << " samples; one device pass, " << res.kernels

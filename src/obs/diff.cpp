@@ -1,11 +1,10 @@
 #include "obs/diff.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/record.hpp"
 
@@ -75,34 +74,18 @@ bool metric_higher_is_better(const std::string& key) {
 
 DiffReport diff_records(const Json& baseline, const Json& current,
                         const DiffOptions& opts) {
-  // Comparability gate first: same schema, same version, same bench.
-  for (const auto* rec : {&baseline, &current}) {
-    if (rec->kind() != Json::Kind::kObject || !rec->find("schema") ||
-        !rec->find("schema_version") || !rec->find("entries")) {
-      return schema_fail("not an accred.bench record (missing schema/"
-                         "schema_version/entries)");
-    }
-  }
-  if (baseline.at("schema").as_string() != kBenchSchema ||
-      current.at("schema").as_string() != kBenchSchema) {
-    return schema_fail("unknown schema '" +
-                       baseline.at("schema").as_string() + "' / '" +
-                       current.at("schema").as_string() + "'");
-  }
+  // Comparability gate first: two valid envelopes of the same bench.
   // Versions inside [compat, current] are mutually comparable: bumps in
   // that window only *add* optional sections (v3's "telemetry"), so a v2
-  // baseline still gates a v3 record. Anything older or newer is refused.
-  const std::int64_t bv = baseline.at("schema_version").as_int();
-  const std::int64_t cv = current.at("schema_version").as_int();
-  for (const std::int64_t v : {bv, cv}) {
-    if (v < kBenchSchemaCompatVersion || v > kBenchSchemaVersion) {
-      return schema_fail(
-          "schema_version v" + std::to_string(v) + " outside the comparable"
-          " range [v" + std::to_string(kBenchSchemaCompatVersion) + ", v" +
-          std::to_string(kBenchSchemaVersion) + "] (baseline v" +
-          std::to_string(bv) + ", current v" + std::to_string(cv) + ")");
+  // baseline still gates a v3 record.
+  for (const auto& [side, rec] : {std::pair{"baseline", &baseline},
+                                  std::pair{"current", &current}}) {
+    if (const std::string why = envelope_error(*rec); !why.empty()) {
+      return schema_fail(std::string(side) + ": " + why);
     }
   }
+  const std::int64_t bv = baseline.at("schema_version").as_int();
+  const std::int64_t cv = current.at("schema_version").as_int();
   const std::string bb = baseline.at("bench").as_string();
   const std::string cb = current.at("bench").as_string();
   if (bb != cb) {
@@ -135,13 +118,22 @@ DiffReport diff_records(const Json& baseline, const Json& current,
         return schema_fail("metric '" + key + "' of entry '" + name +
                            "' is missing from the current record");
       }
-      if (!bval.is_number() || !cval->is_number()) continue;
+      if (!bval.is_number()) continue;
       const double b = bval.as_double();
-      const double c = cval->as_double();
       DiffLine line;
       line.entry = name;
       line.metric = key;
       line.base = b;
+      // A gated number that is no longer one (NaN is written as null)
+      // fails the gate rather than dropping out of it.
+      if (!cval->is_number() || std::isnan(cval->as_double())) {
+        line.current = std::numeric_limits<double>::quiet_NaN();
+        line.rel_change = std::numeric_limits<double>::infinity();
+        line.status = DiffLine::Status::kRegression;
+        report.lines.push_back(std::move(line));
+        continue;
+      }
+      const double c = cval->as_double();
       line.current = c;
       // Signed change in the metric's "worse" direction: positive =
       // worse, negative = better, regardless of metric polarity.
@@ -170,31 +162,7 @@ DiffReport diff_records(const Json& baseline, const Json& current,
   return report;
 }
 
-DiffReport diff_files(const std::string& baseline_path,
-                      const std::string& current_path,
-                      const DiffOptions& opts) {
-  Json docs[2];
-  const std::string* paths[2] = {&baseline_path, &current_path};
-  for (int i = 0; i < 2; ++i) {
-    std::ifstream in(*paths[i]);
-    if (!in) return schema_fail("cannot open " + *paths[i]);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      docs[i] = Json::parse(buf.str());
-    } catch (const std::exception& e) {
-      return schema_fail(*paths[i] + ": " + e.what());
-    }
-  }
-  return diff_records(docs[0], docs[1], opts);
-}
-
 void print_diff(std::ostream& os, const DiffReport& report, bool all) {
-  if (report.exit_code == 2) {
-    os << "bench_diff: records not comparable: " << report.schema_error
-       << '\n';
-    return;
-  }
   const auto old_flags = os.flags();
   os << std::fixed;
   std::size_t shown = 0;
@@ -204,10 +172,14 @@ void print_diff(std::ostream& os, const DiffReport& report, bool all) {
                       : l.status == DiffLine::Status::kImproved ? "improved"
                                                                 : "ok";
     os << "  " << std::setw(10) << tag << "  " << l.entry << " :: "
-       << l.metric << "  " << std::setprecision(6) << l.base << " -> "
-       << l.current << "  (" << std::showpos << std::setprecision(1)
-       << l.rel_change * 100.0 << "% toward worse)" << std::noshowpos
-       << '\n';
+       << l.metric << "  " << std::setprecision(6) << l.base << " -> ";
+    if (std::isnan(l.current)) {
+      os << "not a number\n";
+    } else {
+      os << l.current << "  (" << std::showpos << std::setprecision(1)
+         << l.rel_change * 100.0 << "% toward worse)" << std::noshowpos
+         << '\n';
+    }
     ++shown;
   }
   if (!shown) os << "  all " << report.lines.size() << " metrics ok\n";

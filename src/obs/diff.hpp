@@ -1,10 +1,11 @@
 // Regression diff over two accred.bench records (obs/record.hpp): the CI
-// gate behind tools/bench_diff. Entries are joined by name, every
+// gate behind `accred_report diff`. Entries are joined by name, every
 // deterministic metric is compared under a relative tolerance, and the
 // verdict maps to a process exit code:
 //   0 — within tolerance (improvements included),
-//   1 — at least one metric regressed past the tolerance,
-//   2 — the records are not comparable (schema name/version/bench
+//   1 — at least one metric regressed past the tolerance, or turned from
+//       a number into something else (the writer emits NaN as null),
+//   2 — the records are not comparable (invalid envelope, bench
 //       mismatch, baseline entry or metric missing from current).
 #pragma once
 
@@ -32,7 +33,7 @@ struct DiffLine {
   std::string entry;
   std::string metric;
   double base = 0;
-  double current = 0;
+  double current = 0;     ///< NaN when the current value is not a number
   double rel_change = 0;  ///< signed, in the metric's "worse" direction
   Status status = Status::kOk;
 };
@@ -50,19 +51,14 @@ struct DiffReport {
 [[nodiscard]] bool metric_is_gated(const std::string& key);
 [[nodiscard]] bool metric_higher_is_better(const std::string& key);
 
-/// Compare two parsed records.
+/// Compare two parsed records (files come in through obs::load_record).
 [[nodiscard]] DiffReport diff_records(const Json& baseline,
                                       const Json& current,
                                       const DiffOptions& opts = {});
 
-/// Load both files, parse, and diff; IO/parse failures yield exit_code 2
-/// with the reason in schema_error.
-[[nodiscard]] DiffReport diff_files(const std::string& baseline_path,
-                                    const std::string& current_path,
-                                    const DiffOptions& opts = {});
-
-/// Human-readable rendering. `all` prints every compared metric instead
-/// of only regressions/improvements.
+/// Human-readable rendering of a comparable report (exit_code 0 or 1).
+/// `all` prints every compared metric instead of only regressions and
+/// improvements.
 void print_diff(std::ostream& os, const DiffReport& report, bool all = false);
 
 }  // namespace accred::obs

@@ -2,7 +2,7 @@
 // insertion-ordered value type, a stable writer (shortest round-tripping
 // number form, deterministic key order), and a strict recursive-descent
 // parser. Small by design — just enough for the bench record schema
-// (record.hpp), the trace exporter (trace.hpp), and bench_diff.
+// (record.hpp), the trace exporter (trace.hpp), and accred_report.
 #pragma once
 
 #include <cstdint>

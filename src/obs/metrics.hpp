@@ -18,7 +18,8 @@
 //
 // Serialization (registry_to_json / histogram JSON) is name-sorted and
 // integer-valued, so equal registries dump byte-equal JSON — the form the
-// schema-v3 "telemetry" record section and tools/metrics_report consume.
+// schema-v3 "telemetry" record section and `accred_report metrics`
+// consume.
 #pragma once
 
 #include <atomic>
@@ -117,8 +118,8 @@ class Histogram {
   /// "buckets": [[index, count], ...]} — all integers except scale, so
   /// equal histograms dump byte-equal.
   [[nodiscard]] Json to_json() const;
-  /// Parse the to_json() form back (metrics_report's input path). Throws
-  /// std::runtime_error on malformed input.
+  /// Parse the to_json() form back (`accred_report metrics` reads it).
+  /// Throws std::runtime_error on malformed input.
   [[nodiscard]] static Histogram from_json(const Json& j);
 
  private:

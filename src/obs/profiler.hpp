@@ -117,12 +117,12 @@ class StageTable {
 /// table order, skipping stages that booked nothing.
 [[nodiscard]] Json profile_to_json(const StageTable& table);
 
-/// Parse a "profile" section back into a table (prof_report's input
-/// path). Throws std::runtime_error on a malformed section.
+/// Parse a "profile" section back into a table (`accred_report prof`
+/// reads it). Throws std::runtime_error on a malformed section.
 [[nodiscard]] StageTable profile_from_json(const Json& j);
 
-/// Render the nvprof-style per-stage table (prof_report and the benches'
-/// `--profile` console output share this).
+/// Render the nvprof-style per-stage table (`accred_report prof` and the
+/// benches' `--profile` console output share this).
 void print_profile(std::ostream& os, const StageTable& table);
 
 }  // namespace accred::obs

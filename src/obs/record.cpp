@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <stdexcept>
+#include <sstream>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -66,6 +66,57 @@ Json error_to_json(const gpusim::LaunchErrorInfo& info) {
 }
 
 }  // namespace
+
+std::string envelope_error(const Json& doc) {
+  if (doc.kind() != Json::Kind::kObject) return "not a JSON object";
+  const Json* schema = doc.find("schema");
+  if (schema == nullptr || schema->kind() != Json::Kind::kString ||
+      schema->as_string() != kBenchSchema) {
+    return std::string("not an ") + kBenchSchema + " record";
+  }
+  const Json* version = doc.find("schema_version");
+  if (version == nullptr || version->kind() != Json::Kind::kInt) {
+    return "\"schema_version\": expected an integer";
+  }
+  if (const std::int64_t v = version->as_int();
+      v < kBenchSchemaCompatVersion || v > kBenchSchemaVersion) {
+    return "schema_version v" + std::to_string(v) +
+           " outside the supported range [v" +
+           std::to_string(kBenchSchemaCompatVersion) + ", v" +
+           std::to_string(kBenchSchemaVersion) + "]";
+  }
+  const Json* entries = doc.find("entries");
+  if (entries == nullptr || entries->kind() != Json::Kind::kArray) {
+    return "\"entries\": expected an array";
+  }
+  for (std::size_t i = 0; i < entries->size(); ++i) {
+    const Json& e = entries->elements()[i];
+    const Json* name =
+        e.kind() == Json::Kind::kObject ? e.find("name") : nullptr;
+    if (name == nullptr || name->kind() != Json::Kind::kString) {
+      return "entries[" + std::to_string(i) +
+             "]: expected an object with a string \"name\"";
+    }
+  }
+  return "";
+}
+
+Json load_record(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw RecordError("cannot read " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  Json doc;
+  try {
+    doc = Json::parse(buf.str());
+  } catch (const std::exception& e) {
+    throw RecordError(path + ": " + e.what());
+  }
+  if (const std::string why = envelope_error(doc); !why.empty()) {
+    throw RecordError(path + ": " + why);
+  }
+  return doc;
+}
 
 std::string dim3_field_string(const Json& obj, std::string_view key) {
   const Json& c = obj.at(key);
@@ -142,7 +193,7 @@ BenchEntry& BenchEntry::stats(const gpusim::LaunchStats& s,
   if (!s.profile.empty()) profile(s.profile);
   if (s.racecheck) {
     // Present (possibly empty) whenever the detector ran, so
-    // tools/racecheck_report can tell "clean" from "not checked".
+    // `accred_report race` can tell "clean" from "not checked".
     Json arr = Json::array();
     for (const gpusim::RaceReport& r : s.race_reports) {
       arr.push(race_report_to_json(r));

@@ -1,15 +1,16 @@
 // Structured run records: the machine-readable twin of the paper-shaped
 // text tables every bench and example prints. One RunRecord per process
-// run; one BenchEntry per table row (uniquely named, so bench_diff can
-// match rows across runs); LaunchStats serialize with every raw counter
-// plus the derived metrics the paper argues from.
+// run; one BenchEntry per table row (uniquely named, so `accred_report
+// diff` can match rows across runs); LaunchStats serialize with every raw
+// counter plus the derived metrics the paper argues from. load_record()
+// is the one way back in: every report reads records through it.
 //
 // Schema stability contract (DESIGN.md §8): field names and meanings never
 // change within a schema_version; adding fields is allowed, removing or
-// renaming bumps the version, and tools/bench_diff refuses to compare
-// records across versions.
+// renaming bumps the version, and load_record() refuses versions outside
+// [kBenchSchemaCompatVersion, kBenchSchemaVersion].
 //
-// Metric-name conventions consumed by bench_diff:
+// Metric-name conventions consumed by `accred_report diff`:
 //   * keys containing "wall" are host wall-clock times — informational,
 //     never gated (everything else in "metrics" must be deterministic);
 //   * keys containing "eff", "occupancy", or "jobs_per_sec" are
@@ -18,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,11 +41,28 @@ inline constexpr const char* kBenchSchema = "accred.bench";
 /// emitted only when metrics emission is on. Version history in
 /// DESIGN.md §8.
 inline constexpr std::int64_t kBenchSchemaVersion = 3;
-/// Oldest baseline version bench_diff still compares against the current
-/// one. v3 only *adds* an optional section, so v2 baselines stay
+/// Oldest version load_record() still accepts (and `accred_report diff`
+/// still compares against the current one). v3 only *adds* an optional section, so v2 baselines stay
 /// comparable; v1 predates the profile section's stage-name stability
 /// guarantees and is refused.
 inline constexpr std::int64_t kBenchSchemaCompatVersion = 2;
+
+/// A record file that cannot be read or parsed, or whose envelope is not
+/// an accred.bench record. what() names the file.
+class RecordError : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Why `doc` is not an accred.bench record, or "" when it is. The
+/// envelope every reader may rely on: schema kBenchSchema, an integer
+/// schema_version in [kBenchSchemaCompatVersion, kBenchSchemaVersion], and
+/// an "entries" array of objects, each with a string "name".
+[[nodiscard]] std::string envelope_error(const Json& doc);
+
+/// Read, parse and validate the record at `path`: the one record loader.
+/// Throws RecordError naming `path` on any failure.
+[[nodiscard]] Json load_record(const std::string& path);
 
 /// Serialize one LaunchStats: all raw counters plus derived coalescing
 /// efficiency, bank-conflict factor, and SM occupancy (populated SMs over
@@ -60,7 +79,7 @@ inline constexpr std::int64_t kBenchSchemaCompatVersion = 2;
                                             std::string_view key);
 
 /// One named row of a bench record. Names must be unique within a record
-/// — they are the join key bench_diff matches rows by.
+/// — they are the join key `accred_report diff` matches rows by.
 class BenchEntry {
 public:
   explicit BenchEntry(std::string name) : name_(std::move(name)) {}

@@ -1,9 +1,10 @@
-// Planner-emitted cascade fusion (§3.2, Fig. 4 generalized): run a whole
-// producer→consumer reduction chain in ONE kernel instead of one launch
-// per stage. reduce/cascade.hpp is the hand-written three-level special
-// case this module generalizes; here the stage list comes from the
-// planner (acc::ExecutionPlan::chain, built from analysis-detected
-// chains), each stage carries its own operator, and every in-block stage
+// Cascaded reductions (§3.2, Fig. 4 generalized): "reduction can also
+// occur on different variables within different levels of parallelism".
+// Run a whole producer→consumer reduction chain in ONE kernel instead of
+// one launch per stage. The stage list comes from the planner
+// (acc::ExecutionPlan::chain, built from analysis-detected chains) or is
+// written by hand (examples/nested_statistics.cpp); each stage carries its
+// own operator and per-instance initial value, and every in-block stage
 // shares a single shared-memory slab — the vector trees use the full
 // w x v staging area, and the worker tree reuses its (dead, post-barrier)
 // first w slots rather than allocating a second buffer.

@@ -134,21 +134,15 @@ ReductionService::~ReductionService() {
 }
 
 std::size_t ReductionService::estimate_bytes(const JobSpec& spec) {
+  // The runner's own buffers (input, the parallel-work copy, results)
+  // come from the case geometry it allocates from.
   const testsuite::CaseGeometry geo =
       testsuite::case_geometry(spec.kase.pos, spec.reduction_extent);
-  const bool same_loop =
-      spec.kase.pos == acc::Position::kSameLineGangWorkerVector;
-  const auto volume = static_cast<std::size_t>(
-      same_loop ? geo.same_loop_extent
-                : geo.dims.nk * geo.dims.nj * geo.dims.ni);
-  // Per-instance output slots, mirroring the runner's allocations.
-  std::size_t out_slots = 1;
-  if (spec.kase.pos == acc::Position::kVector) {
-    out_slots = static_cast<std::size_t>(geo.dims.nk * geo.dims.nj);
-  } else if (spec.kase.pos == acc::Position::kWorker ||
-             spec.kase.pos == acc::Position::kWorkerVector) {
-    out_slots = static_cast<std::size_t>(geo.dims.nk);
-  }
+  const std::size_t copies =
+      spec.parallel_work &&
+              spec.kase.pos != acc::Position::kSameLineGangWorkerVector
+          ? 2
+          : 1;
   // Worst-case strategy buffers: a full gang x worker x vector global
   // staging slab plus the finalize kernel's own staging. Overestimating
   // slightly keeps admission decisions a pure function of the spec (no
@@ -157,8 +151,8 @@ std::size_t ReductionService::estimate_bytes(const JobSpec& spec) {
       std::size_t{spec.config.num_gangs} * spec.config.num_workers *
           spec.config.vector_length +
       acc::profile(spec.compiler).strategy.finalize_threads;
-  const std::size_t copies = spec.parallel_work && !same_loop ? 2 : 1;
-  return (volume * copies + out_slots + staging) * size_of(spec.kase.type);
+  return (geo.volume * copies + geo.out_slots + staging) *
+         size_of(spec.kase.type);
 }
 
 std::uint64_t ReductionService::estimate_service_ns(const JobSpec& spec) {

@@ -36,6 +36,17 @@ CaseGeometry case_geometry(acc::Position pos, std::int64_t r) {
       g.contrib_count = r * 64;
       break;
   }
+  g.volume = static_cast<std::size_t>(
+      pos == Position::kSameLineGangWorkerVector
+          ? g.same_loop_extent
+          : g.dims.nk * g.dims.nj * g.dims.ni);
+  // One result slot per instance: (k, j) for the vector case, k for the
+  // worker-level ones.
+  if (pos == Position::kVector) {
+    g.out_slots = static_cast<std::size_t>(g.dims.nk * g.dims.nj);
+  } else if (pos == Position::kWorker || pos == Position::kWorkerVector) {
+    g.out_slots = static_cast<std::size_t>(g.dims.nk);
+  }
   return g;
 }
 

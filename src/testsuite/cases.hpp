@@ -6,6 +6,7 @@
 // paper, so times are comparable across rows.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -23,10 +24,14 @@ struct CaseSpec {
 
 /// Loop extents for a case, parameterized by the reduction extent `r`
 /// (the paper's "up to 1M"; our benches default to 2^17 and offer --full).
+/// `volume` and `out_slots` size the runner's buffers, and the service's
+/// admission estimate reads the same two numbers.
 struct CaseGeometry {
   reduce::Nest3 dims;                ///< (gang, worker, vector) extents
   std::int64_t same_loop_extent = 0; ///< for the same-line case
   std::int64_t contrib_count = 0;    ///< contributions folded per result
+  std::size_t volume = 0;            ///< input elements (nk*nj*ni or same-line)
+  std::size_t out_slots = 1;         ///< per-instance results (vector/worker)
 };
 
 [[nodiscard]] CaseGeometry case_geometry(acc::Position pos, std::int64_t r);

@@ -122,20 +122,9 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
     const auto fplan = gpusim::FaultPlan::parse(fault_spec);
     if (fplan.has_alloc_faults()) dev.arm_alloc_faults(fplan);
   }
-  const bool same_loop = spec.pos == Position::kSameLineGangWorkerVector;
-  const std::size_t volume = static_cast<std::size_t>(
-      same_loop ? geo.same_loop_extent
-                : geo.dims.nk * geo.dims.nj * geo.dims.ni);
-
-  const bool copy_work = opts.parallel_work && !same_loop;
-  // Per-instance output slots for the vector / worker positions.
-  const std::size_t out_slots =
-      spec.pos == Position::kVector
-          ? static_cast<std::size_t>(geo.dims.nk * geo.dims.nj)
-          : (spec.pos == Position::kWorker ||
-                     spec.pos == Position::kWorkerVector
-                 ? static_cast<std::size_t>(geo.dims.nk)
-                 : 1);
+  const std::size_t volume = geo.volume;
+  const bool copy_work =
+      opts.parallel_work && spec.pos != Position::kSameLineGangWorkerVector;
 
   // The runner's own allocations, behind the same retry policy as the
   // kernels: an injected alloc_fail arm is one-shot, so re-running the
@@ -149,7 +138,7 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
     try {
       input = dev.alloc<T>(volume, "input");
       if (copy_work) temp = dev.alloc<T>(volume, "temp");
-      result_buf = dev.alloc<T>(out_slots, "result");
+      result_buf = dev.alloc<T>(geo.out_slots, "result");
       break;
     } catch (const gpusim::LaunchError& e) {
       ++alloc_failures;
@@ -367,7 +356,7 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
       const T v = *guarded.result.scalar;
       h = fnv1a(h, &v, sizeof v);
     }
-    if (out_slots > 1) {
+    if (geo.out_slots > 1) {
       const auto span = result_buf.host_span();
       h = fnv1a(h, span.data(), span.size() * sizeof(T));
     }

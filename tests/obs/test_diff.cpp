@@ -1,14 +1,16 @@
 // obs/diff.hpp: the CI regression gate. Exit codes are contract — 0 pass,
-// 1 regression past tolerance, 2 not-comparable — and the metric naming
-// conventions decide
-// which direction counts as worse (wall_* skipped; eff / occupancy /
+// 1 regression past tolerance (or a gated number gone missing as null),
+// 2 not-comparable — and the metric naming conventions decide which
+// direction counts as worse (wall_* skipped; eff / occupancy /
 // jobs_per_sec higher-is-better).
 #include "obs/diff.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "obs/record.hpp"
 
@@ -169,11 +171,36 @@ TEST(Diff, FilesRoundTrip) {
     std::ofstream(base_path) << make_record(2.0).dump(2);
     std::ofstream(cur_path) << make_record(4.0).dump(2);
   }
-  EXPECT_EQ(diff_files(base_path, cur_path).exit_code, 1);
-  EXPECT_EQ(diff_files(base_path, base_path).exit_code, 0);
-  EXPECT_EQ(diff_files("/nonexistent/x.json", cur_path).exit_code, 2);
+  const Json base = load_record(base_path);
+  EXPECT_EQ(diff_records(base, load_record(cur_path)).exit_code, 1);
+  EXPECT_EQ(diff_records(base, load_record(base_path)).exit_code, 0);
+  try {
+    (void)load_record("/nonexistent/x.json");
+    ADD_FAILURE() << "a missing file must not load";
+  } catch (const RecordError& e) {
+    EXPECT_NE(std::string(e.what()).find("/nonexistent/x.json"),
+              std::string::npos);
+  }
   std::remove(base_path.c_str());
   std::remove(cur_path.c_str());
+}
+
+TEST(Diff, MetricThatStopsBeingANumberFailsTheGate) {
+  // The writer emits a non-finite double as null: a gated metric that
+  // turns NaN must fail the gate, not drop out of the comparison.
+  const Json cur = Json::parse(make_record(std::nan("")).dump());
+  ASSERT_TRUE(cur.at("entries").elements()[0].at("metrics").at("device_ms")
+                  .is_null());
+  const DiffReport r = diff_records(make_record(2.0), cur, {.tolerance = 0});
+  EXPECT_EQ(r.exit_code, 1);
+  ASSERT_EQ(r.regressions(), 1u);
+  EXPECT_EQ(r.lines.size(), 2u);
+  std::ostringstream out;
+  print_diff(out, r);
+  EXPECT_NE(out.str().find("REGRESSION  row :: device_ms  2.000000 -> not a "
+                           "number"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(Diff, ToleranceParsing) {

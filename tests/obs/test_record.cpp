@@ -1,5 +1,5 @@
 // obs/record.hpp: the schema-stability golden. Field names, their order,
-// and the derived-metric values are contract — bench_diff and the
+// and the derived-metric values are contract — accred_report and the
 // committed CI baselines parse them, so a mismatch here means either a
 // schema_version bump was forgotten or a field changed meaning.
 #include "obs/record.hpp"
@@ -151,13 +151,49 @@ TEST(Record, SessionWritesRequestedFile) {
     EXPECT_TRUE(session.finish());
     EXPECT_TRUE(session.finish());  // idempotent
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const Json j = Json::parse(ss.str());
+  const Json j = load_record(path);
   EXPECT_EQ(j.at("bench").as_string(), "session_bench");
   EXPECT_EQ(j.at("entries").size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(Record, EnvelopeNamesWhatNoReaderCanUse) {
+  RunRecord rec("envelope_bench");
+  rec.entry("row").metric("device_ms", 1.0);
+  const Json good = rec.to_json();
+  EXPECT_EQ(envelope_error(good), "");
+
+  const auto with = [&](const char* key, Json value) {
+    Json j = good;
+    j.set(key, std::move(value));
+    return envelope_error(j);
+  };
+  EXPECT_EQ(with("schema", "accred.trace"), "not an accred.bench record");
+  EXPECT_EQ(with("schema_version", 3.0),
+            "\"schema_version\": expected an integer");
+  EXPECT_EQ(with("schema_version", kBenchSchemaCompatVersion - 1),
+            "schema_version v1 outside the supported range [v2, v3]");
+  EXPECT_EQ(with("schema_version", kBenchSchemaVersion + 1),
+            "schema_version v4 outside the supported range [v2, v3]");
+  EXPECT_EQ(with("entries", Json::object()), "\"entries\": expected an array");
+  Json unnamed = Json::array();
+  unnamed.push(Json::object().set("name", 7));
+  EXPECT_EQ(with("entries", unnamed),
+            "entries[0]: expected an object with a string \"name\"");
+  EXPECT_EQ(envelope_error(Json::array()), "not a JSON object");
+}
+
+TEST(Record, LoadRecordNamesTheFileItRefuses) {
+  const std::string path = ::testing::TempDir() + "accred_refused.json";
+  std::ofstream(path) << R"({"schema": "accred.bench", "schema_version": 3})";
+  try {
+    (void)load_record(path);
+    ADD_FAILURE() << "a record without entries must not load";
+  } catch (const RecordError& e) {
+    EXPECT_EQ(std::string(e.what()), path + ": \"entries\": expected an array");
+  }
+  std::ofstream(path) << "{not json";
+  EXPECT_THROW((void)load_record(path), RecordError);
   std::remove(path.c_str());
 }
 

@@ -1,13 +1,28 @@
 // Tests for cascaded reductions (§3.2 / Fig. 4 read as one program):
-// different variables reduced at different levels, each feeding the next.
-#include "reduce/cascade.hpp"
-
+// different variables reduced at different levels, each feeding the next,
+// run as the [vector, worker, gang] chain of reduce/fused_cascade.hpp and
+// checked against a host fold of the whole chain.
 #include <gtest/gtest.h>
 
+#include "reduce/fused_cascade.hpp"
 #include "test_support.hpp"
 
 namespace accred::reduce {
 namespace {
+
+/// One operator per level of the Fig. 4 chain.
+struct CascadeOps {
+  acc::ReductionOp vector_op = acc::ReductionOp::kSum;
+  acc::ReductionOp worker_op = acc::ReductionOp::kSum;
+  acc::ReductionOp gang_op = acc::ReductionOp::kSum;
+};
+
+/// The [vector, worker, gang] chain, innermost first.
+std::vector<acc::FusedStage> chain_of(const CascadeOps& ops) {
+  return {{ops.vector_op, acc::Par::kVector, "i_sum"},
+          {ops.worker_op, acc::Par::kWorker, "j_sum"},
+          {ops.gang_op, acc::Par::kGang, "sum"}};
+}
 
 acc::LaunchConfig small_cfg() {
   acc::LaunchConfig cfg;
@@ -49,7 +64,7 @@ void run_case(const Nest3& n, const CascadeOps& ops, bool with_inits) {
   input.copy_from_host(host);
   auto iv = input.view();
 
-  CascadeBindings<T> b;
+  FusedChainBindings<T> b;
   b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                   std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
@@ -60,10 +75,10 @@ void run_case(const Nest3& n, const CascadeOps& ops, bool with_inits) {
     };
     b.worker_init = [](std::int64_t k) { return static_cast<T>(k); };
   }
-  b.gang_init = static_cast<T>(5);
-  b.gang_init_set = true;
+  b.host_init = static_cast<T>(5);
+  b.host_init_set = true;
 
-  auto res = run_cascaded_reduction<T>(dev, n, small_cfg(), ops, b);
+  auto res = run_fused_chain<T>(dev, chain_of(ops), n, small_cfg(), b);
   ASSERT_TRUE(res.scalar.has_value());
   EXPECT_EQ(res.kernels, 2);
   const T expect = reference<T>(n, host, ops, with_inits, static_cast<T>(5));
@@ -122,7 +137,7 @@ TEST(Cascade, SinksObserveIntermediateResults) {
   auto tv = temps.view();
   auto kv = ktemps.view();
 
-  CascadeBindings<int> b;
+  FusedChainBindings<int> b;
   b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                   std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
@@ -134,11 +149,7 @@ TEST(Cascade, SinksObserveIntermediateResults) {
   b.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, int r) {
     ctx.st(kv, static_cast<std::size_t>(k), r);
   };
-  auto res = run_cascaded_reduction<int>(
-      dev, n, small_cfg(),
-      CascadeOps{acc::ReductionOp::kSum, acc::ReductionOp::kSum,
-                 acc::ReductionOp::kSum},
-      b);
+  auto res = run_fused_chain<int>(dev, chain_of({}), n, small_cfg(), b);
   // temp[k][j] = ni; ktemp[k] = nj*ni; scalar = nk*nj*ni.
   for (int t : temps.host_span()) EXPECT_EQ(t, n.ni);
   for (int t : ktemps.host_span()) EXPECT_EQ(t, n.nj * n.ni);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "reduce/argminmax.hpp"
-#include "reduce/cascade.hpp"
 #include "reduce/gang_reduce.hpp"
 #include "reduce/segmented_reduce.hpp"
 #include "reduce/vector_reduce.hpp"
@@ -170,51 +169,6 @@ TEST(FusedCascade, PerLevelBitIdenticalToUnfusedAcrossExecutionKnobs) {
     }
     EXPECT_EQ(fused.scalar, unfused.scalar) << what;
   }
-}
-
-TEST(FusedCascade, MatchesHandWrittenCascadeWithInitsBitForBit) {
-  // The generalization claim: the planner-emitted fused kernel subsumes
-  // reduce/cascade.hpp including per-instance initial values and the
-  // incoming host value of the outermost variable.
-  const Nest3 n{5, 6, 64};
-  gpusim::Device dev;
-  const auto volume = static_cast<std::size_t>(n.nk * n.nj * n.ni);
-  const auto host = test::make_input<double>(acc::ReductionOp::kSum, volume);
-  auto input = dev.alloc<double>(volume);
-  input.copy_from_host(host);
-  auto iv = input.view();
-  const auto [nk, nj, ni] = n;
-  const auto contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                           std::int64_t j, std::int64_t i) {
-    return ctx.ld(iv, static_cast<std::size_t>((k * nj + j) * ni + i));
-  };
-
-  CascadeBindings<double> cb;
-  cb.contrib = contrib;
-  cb.vector_init = [](std::int64_t, std::int64_t j) {
-    return static_cast<double>(j);
-  };
-  cb.worker_init = [](std::int64_t k) { return static_cast<double>(k); };
-  cb.gang_init = 5.0;
-  cb.gang_init_set = true;
-  auto ref = run_cascaded_reduction<double>(
-      dev, n, small_cfg(),
-      CascadeOps{acc::ReductionOp::kSum, acc::ReductionOp::kSum,
-                 acc::ReductionOp::kSum},
-      cb);
-
-  FusedChainBindings<double> fb;
-  fb.contrib = contrib;
-  fb.vector_init = cb.vector_init;
-  fb.worker_init = cb.worker_init;
-  fb.host_init = 5.0;
-  fb.host_init_set = true;
-  auto fused =
-      run_fused_chain<double>(dev, sum_chain3(), n, small_cfg(), fb, {});
-
-  ASSERT_TRUE(ref.scalar.has_value());
-  ASSERT_TRUE(fused.scalar.has_value());
-  EXPECT_EQ(*fused.scalar, *ref.scalar);
 }
 
 TEST(FusedCascade, TwoStageChainsAndMixedOperators) {

@@ -102,12 +102,26 @@ TEST(Runner, GeometryMovesSameVolumeEverywhere) {
   const std::int64_t r = 1 << 10;
   for (acc::Position pos : all_positions()) {
     const CaseGeometry g = case_geometry(pos, r);
-    const std::int64_t volume =
+    const std::int64_t nest_volume =
         pos == acc::Position::kSameLineGangWorkerVector
             ? g.same_loop_extent
             : g.dims.nk * g.dims.nj * g.dims.ni;
-    EXPECT_EQ(volume, 64 * r) << to_string(pos);
+    EXPECT_EQ(nest_volume, 64 * r) << to_string(pos);
+    EXPECT_EQ(g.volume, static_cast<std::size_t>(64 * r)) << to_string(pos);
   }
+}
+
+TEST(Runner, GeometryHasOneResultSlotPerInstance) {
+  // (k, j) instances for the vector case, k for the worker-level ones.
+  const auto slots = [](acc::Position pos) {
+    return case_geometry(pos, 1 << 10).out_slots;
+  };
+  EXPECT_EQ(slots(acc::Position::kVector), 2u * 32u);
+  EXPECT_EQ(slots(acc::Position::kWorker), 2u);
+  EXPECT_EQ(slots(acc::Position::kWorkerVector), 32u);
+  EXPECT_EQ(slots(acc::Position::kGang), 1u);
+  EXPECT_EQ(slots(acc::Position::kGangWorkerVector), 1u);
+  EXPECT_EQ(slots(acc::Position::kSameLineGangWorkerVector), 1u);
 }
 
 TEST(Runner, SingleLevelCasesAreSlowerThanRmpCases) {
