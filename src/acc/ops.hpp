@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace accred::acc {
 
@@ -89,9 +90,17 @@ struct RuntimeOp {
   }
 
   [[nodiscard]] constexpr T apply(T a, T b) const {
+    // Signed + and * wrap in two's complement, as CUDA's add.s32 and
+    // mul.lo.s32 do: computed in the unsigned type, since signed overflow
+    // is undefined behaviour in C++.
+    using W = typename std::conditional_t<std::signed_integral<T>,
+                                          std::make_unsigned<T>,
+                                          std::type_identity<T>>::type;
     switch (op) {
-      case ReductionOp::kSum: return a + b;
-      case ReductionOp::kProd: return a * b;
+      case ReductionOp::kSum:
+        return static_cast<T>(static_cast<W>(a) + static_cast<W>(b));
+      case ReductionOp::kProd:
+        return static_cast<T>(static_cast<W>(a) * static_cast<W>(b));
       // min/max propagate NaN regardless of operand order: std::min/max
       // return the first operand on unordered comparisons, so a bare
       // std::max(a, b) silently drops a NaN in `b` — which fold order
