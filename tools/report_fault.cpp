@@ -12,11 +12,16 @@
 //               attr from the testsuite runner)
 //   surfaced    a structured error is in the record (stats.error), or the
 //               entry is explicitly flagged unverified (verified == "NO")
+//   masked      a first-attempt pass proven harmless: a fault-free run of
+//               the same cell produced the same result hash ("masked"
+//               attr, written by table2_testsuite only on a hash match)
 //   UNDETECTED  the fault fired yet the entry claims a clean first-attempt
-//               pass — silent corruption escaped the guards
+//               pass with no such proof — silent corruption may have
+//               escaped the guards
 //
-// Gate ("100% of injected faults detected or recovered"): exit 0 when
-// every fired fault was recovered or surfaced, 1 on any UNDETECTED one. A
+// Gate ("100% of injected faults detected, recovered or proven masked"):
+// exit 0 when every fired fault was recovered, surfaced or masked, 1 on
+// any UNDETECTED one. A
 // record with no fault-armed entries, or in which nothing fired at all,
 // exits 2 (an injection campaign that injected nothing must fail a gate,
 // not pass it).
@@ -38,6 +43,7 @@ struct FaultedEntry {
   bool injected_error = false;      ///< the error itself was injected
   bool recovered = false;
   bool flagged_unverified = false;  ///< verified == "NO" in the record
+  bool masked = false;              ///< proven by a fault-free run's hash
 };
 
 std::string render_event(const obs::Json& e) {
@@ -89,6 +95,9 @@ std::vector<FaultedEntry> faulted_entries(const obs::Json& record) {
       if (const obs::Json* v = attrs->find("verified")) {
         fe.flagged_unverified = v->as_string() != "yes";
       }
+      if (const obs::Json* m = attrs->find("masked")) {
+        fe.masked = m->as_string() == "yes";
+      }
     }
     out.push_back(std::move(fe));
   }
@@ -111,20 +120,19 @@ int fault(const Invocation& inv) {
   std::size_t undetected = 0;
   for (const FaultedEntry& e : entries) {
     const bool any_fired = !e.events.empty() || e.injected_error;
-    const char* verdict =
-        !any_fired      ? "no fault fired"
-        : e.recovered   ? "recovered"
-        : !e.error.empty() || e.flagged_unverified ? "surfaced"
-                                                   : "UNDETECTED";
+    const bool surfaced = !e.error.empty() || e.flagged_unverified;
+    const char* verdict = !any_fired   ? "no fault fired"
+                          : e.recovered ? "recovered"
+                          : surfaced    ? "surfaced"
+                          : e.masked    ? "masked"
+                                        : "UNDETECTED";
     std::cout << e.name << ": " << e.events.size() << " fired fault(s) — "
               << verdict << '\n';
     for (const std::string& ev : e.events) std::cout << "    " << ev << '\n';
     if (!e.error.empty()) std::cout << "    error: " << e.error << '\n';
     if (any_fired) {
       fired += e.events.empty() ? 1 : e.events.size();
-      if (!e.recovered && e.error.empty() && !e.flagged_unverified) {
-        undetected += 1;
-      }
+      if (!e.recovered && !surfaced && !e.masked) undetected += 1;
     }
   }
   std::cout << "== " << entries.size() << " fault-armed entr"
