@@ -24,13 +24,10 @@
 #include <iostream>
 
 #include "acc/executor.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
 #include "reduce/fused_cascade.hpp"
 #include "reduce/payload_reduce.hpp"
 #include "reduce/rmp_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "util/cli.hpp"
 #include "util/main_guard.hpp"
 #include "util/table.hpp"
 
@@ -223,21 +220,19 @@ Ablation run_sum_mean_variance(std::int64_t r) {
   return ab;
 }
 
-void report(obs::Session& obs, util::TextTable& t, const std::string& name,
-            const Ablation& ab) {
+void report(obs::RunRecord& record, util::TextTable& t,
+            const std::string& name, const Ablation& ab) {
   const double cut = 100.0 * (1.0 - ab.fused_ms / ab.unfused_ms);
   t.row({name, util::TextTable::num(ab.unfused_ms, 3),
          util::TextTable::num(ab.fused_ms, 3),
          std::to_string(ab.unfused_kernels) + " -> " +
              std::to_string(ab.fused_kernels),
          util::TextTable::num(cut, 1) + "%", ab.identical ? "yes" : "NO"});
-  obs.record()
-      .entry(name + "/unfused")
+  record.entry(name + "/unfused")
       .metric("device_ms", ab.unfused_ms)
       .metric("kernels", ab.unfused_kernels)
       .stats(ab.unfused_stats);
-  obs.record()
-      .entry(name + "/fused")
+  record.entry(name + "/fused")
       .metric("device_ms", ab.fused_ms)
       .metric("kernels", ab.fused_kernels)
       .metric("device_time_cut_pct", cut)
@@ -245,10 +240,7 @@ void report(obs::Session& obs, util::TextTable& t, const std::string& name,
       .stats(ab.fused_stats);
 }
 
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "cascade_fusion");
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 1 << 14);
 
   std::cout << "== Cascade-fusion ablation (fused chain kernel vs one "
@@ -258,12 +250,12 @@ int run(int argc, char** argv) {
             "results match"});
 
   const Ablation fig4 = run_fig4_chain(r);
-  report(obs, t, "fig4_chain3", fig4);
+  report(record, t, "fig4_chain3", fig4);
   const Ablation smv = run_sum_mean_variance(r);
-  report(obs, t, "sum_mean_variance", smv);
+  report(record, t, "sum_mean_variance", smv);
   t.print(std::cout);
 
-  bool ok = obs.finish();
+  bool ok = true;
   if (!fig4.identical) {
     std::cout << "\nFAIL: fused fig4 chain result is not bit-identical to "
                  "the unfused sequence\n";
@@ -284,9 +276,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "cascade_fusion", {}, run);
 }

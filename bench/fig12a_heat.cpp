@@ -8,33 +8,19 @@
 //        --tol X (default 0 = run all iterations),
 //        --json FILE / --trace FILE (structured record / event trace)
 #include <iostream>
-#include <sstream>
 
 #include "apps/heat.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/table.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "fig12a_heat");
+using namespace accred;
+
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const int iters = static_cast<int>(cli.get_int("iters", 50));
   const double tol = cli.get_double("tol", 0.0);
-
-  std::vector<std::int64_t> sizes;
-  {
-    std::stringstream ss(cli.get("sizes", "128,256,512"));
-    for (std::string tok; std::getline(ss, tok, ',');) {
-      sizes.push_back(std::stoll(tok));
-    }
-  }
+  const auto sizes = cli.get_counts("sizes", "128,256,512");
 
   std::cout << "== Fig. 12a reproduction: 2D heat equation (max reduction) =="
             << "\niterations: " << iters << ", tolerance: " << tol << "\n\n";
@@ -60,7 +46,7 @@ int run(int argc, char** argv) {
                  util::TextTable::num(r.total_device_ms),
                  util::TextTable::num(r.final_error, 6),
                  r.converged ? "yes" : "cap"});
-      obs.record()
+      record
           .entry(std::to_string(n) + "x" + std::to_string(n) + "/" +
                  std::string(to_string(id)))
           .metric("reduction_ms", r.reduction_device_ms)
@@ -76,16 +62,13 @@ int run(int argc, char** argv) {
                "because CAPS 3.4.0 never converged (temperature difference "
                "increased); our caps_like strategy model computes "
                "correctly, so its modeled time is shown for reference.\n";
-  obs.record().meta("iters", static_cast<std::int64_t>(iters));
-  obs.record().meta("tolerance", tol);
-  return obs.finish() ? 0 : 1;
+  record.meta("iters", static_cast<std::int64_t>(iters));
+  record.meta("tolerance", tol);
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "fig12a_heat", {}, run);
 }

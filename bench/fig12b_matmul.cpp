@@ -7,32 +7,18 @@
 //        --verify (check against the host reference; O(n^3) on the host),
 //        --json FILE / --trace FILE (structured record / event trace)
 #include <iostream>
-#include <sstream>
 
 #include "acc/profiles.hpp"
 #include "apps/matmul.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/table.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv, {"verify"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "fig12b_matmul");
+using namespace accred;
 
-  std::vector<std::int64_t> sizes;
-  {
-    std::stringstream ss(cli.get("sizes", "64,128,256"));
-    for (std::string tok; std::getline(ss, tok, ',');) {
-      sizes.push_back(std::stoll(tok));
-    }
-  }
+int run(const util::Cli& cli, obs::RunRecord& record) {
+  const auto sizes = cli.get_counts("sizes", "64,128,256");
   const bool verify = cli.has("verify");
 
   std::cout << "== Fig. 12b reproduction: matmul, k loop as vector "
@@ -63,8 +49,7 @@ int run(int argc, char** argv) {
                  std::to_string(r.stats.gmem_segments),
                  util::TextTable::num(gpusim::bank_conflict_factor(r.stats)),
                  verified});
-      obs.record()
-          .entry(std::to_string(n) + "/sequential_k")
+      record.entry(std::to_string(n) + "/sequential_k")
           .metric("device_ms", r.device_ms)
           .attr("verified", verified)
           .stats(r.stats);
@@ -78,8 +63,7 @@ int run(int argc, char** argv) {
           acc::Robustness::kOk) {
         table.row({std::to_string(n), std::string(to_string(id)), "F", "-",
                    "-", "-"});
-        obs.record()
-            .entry(std::to_string(n) + "/" + std::string(to_string(id)))
+        record.entry(std::to_string(n) + "/" + std::string(to_string(id)))
             .attr("status", "F");
         continue;
       }
@@ -104,8 +88,7 @@ int run(int argc, char** argv) {
                  std::to_string(r.stats.gmem_segments),
                  util::TextTable::num(gpusim::bank_conflict_factor(r.stats)),
                  verified});
-      obs.record()
-          .entry(std::to_string(n) + "/" + std::string(to_string(id)))
+      record.entry(std::to_string(n) + "/" + std::string(to_string(id)))
           .metric("device_ms", r.device_ms)
           .attr("verified", verified)
           .stats(r.stats);
@@ -117,14 +100,11 @@ int run(int argc, char** argv) {
                "while the k-parallel mapping strides B across lanes. The "
                "paper compares compilers on the k-parallel mapping only; "
                "the baseline row quantifies what that mapping costs.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "fig12b_matmul", {"verify"}, run);
 }

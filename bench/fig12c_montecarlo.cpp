@@ -6,24 +6,16 @@
 //        --full  (paper-scale GB sizes; needs several GB of RAM and time)
 //        --json FILE / --trace FILE (structured record / event trace)
 #include <iostream>
-#include <sstream>
 
 #include "apps/montecarlo.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/table.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv, {"full"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "fig12c_montecarlo");
+using namespace accred;
 
+int run(const util::Cli& cli, obs::RunRecord& record) {
   std::vector<std::int64_t> sample_counts;
   if (cli.has("full")) {
     // 1 / 2 / 4 GB of coordinate data (two double arrays).
@@ -31,10 +23,7 @@ int run(int argc, char** argv) {
       sample_counts.push_back(gb * (1LL << 30) / (2 * 8));
     }
   } else {
-    std::stringstream ss(cli.get("samples", "4194304,8388608,16777216"));
-    for (std::string tok; std::getline(ss, tok, ',');) {
-      sample_counts.push_back(std::stoll(tok));
-    }
+    sample_counts = cli.get_counts("samples", "4194304,8388608,16777216");
   }
 
   std::cout << "== Fig. 12c reproduction: Monte Carlo PI ==\n\n";
@@ -58,8 +47,7 @@ int run(int argc, char** argv) {
                  util::TextTable::num(r.transfer_ms),
                  util::TextTable::num(r.pi_estimate, 6),
                  r.hits == expect ? "yes" : "NO"});
-      obs.record()
-          .entry(std::to_string(samples) + "/" + std::string(to_string(id)))
+      record.entry(std::to_string(samples) + "/" + std::string(to_string(id)))
           .metric("device_ms", r.device_ms)
           .metric("h2d_ms", r.transfer_ms)
           .attr("hits_ok", r.hits == expect ? "yes" : "NO")
@@ -67,14 +55,11 @@ int run(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "fig12c_montecarlo", {"full"}, run);
 }

@@ -16,10 +16,8 @@
 #include "reduce/vector_reduce.hpp"
 #include "reduce/worker_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/profiler.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -114,23 +112,14 @@ void emit(util::TextTable& t, obs::RunRecord& rec, const std::string& key,
   }
 }
 
-}  // namespace
-
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"profile", "racecheck"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 1 << 16);
   const bool profile = cli.get_bool("profile") || obs::profile_env_default();
   const bool racecheck =
       cli.get_bool("racecheck") || gpusim::racecheck_env_default();
-  obs::Session obs(cli, "fig6_8_layout_ablation");
-  obs.record().meta("reduction_extent", r);
-  if (profile) obs.record().meta("profile", std::int64_t{1});
-  if (racecheck) obs.record().meta("racecheck", std::int64_t{1});
+  record.meta("reduction_extent", r);
+  if (profile) record.meta("profile", std::int64_t{1});
+  if (racecheck) record.meta("racecheck", std::int64_t{1});
 
   std::cout << "== Fig. 6 / Fig. 8 staging-layout ablation (extent " << r
             << ") ==\n\n";
@@ -143,7 +132,7 @@ int run(int argc, char** argv) {
     reduce::StrategyConfig sc;  // OpenUH defaults: Fig. 6c
     sc.sim.profile = profile;
     sc.sim.racecheck = racecheck;
-    emit(t, obs.record(), "vector/row_contiguous", "vector row-contiguous (6c, OpenUH)", run_vector(dev, r, sc));
+    emit(t, record, "vector/row_contiguous", "vector row-contiguous (6c, OpenUH)", run_vector(dev, r, sc));
   }
   {
     gpusim::Device dev;
@@ -151,7 +140,7 @@ int run(int argc, char** argv) {
     sc.sim.profile = profile;
     sc.sim.racecheck = racecheck;
     sc.vector_layout = reduce::VectorLayout::kTransposed;
-    emit(t, obs.record(), "vector/transposed", "vector transposed (6b)", run_vector(dev, r, sc));
+    emit(t, record, "vector/transposed", "vector transposed (6b)", run_vector(dev, r, sc));
   }
   {
     gpusim::Device dev;
@@ -159,14 +148,14 @@ int run(int argc, char** argv) {
     sc.sim.profile = profile;
     sc.sim.racecheck = racecheck;
     sc.staging = reduce::Staging::kGlobal;
-    emit(t, obs.record(), "vector/global_fallback", "vector global fallback (3.3)", run_vector(dev, r, sc));
+    emit(t, record, "vector/global_fallback", "vector global fallback (3.3)", run_vector(dev, r, sc));
   }
   {
     gpusim::Device dev;
     reduce::StrategyConfig sc;  // Fig. 8c
     sc.sim.profile = profile;
     sc.sim.racecheck = racecheck;
-    emit(t, obs.record(), "worker/first_row", "worker first-row (8c, OpenUH)", run_worker(dev, r, sc));
+    emit(t, record, "worker/first_row", "worker first-row (8c, OpenUH)", run_worker(dev, r, sc));
   }
   {
     gpusim::Device dev;
@@ -174,7 +163,7 @@ int run(int argc, char** argv) {
     sc.sim.profile = profile;
     sc.sim.racecheck = racecheck;
     sc.worker_layout = reduce::WorkerLayout::kDuplicatedRows;
-    emit(t, obs.record(), "worker/duplicated_rows", "worker duplicated rows (8b)", run_worker(dev, r, sc));
+    emit(t, record, "worker/duplicated_rows", "worker duplicated rows (8b)", run_worker(dev, r, sc));
   }
   {
     gpusim::Device dev;
@@ -182,21 +171,19 @@ int run(int argc, char** argv) {
     sc.sim.profile = profile;
     sc.sim.racecheck = racecheck;
     sc.staging = reduce::Staging::kGlobal;
-    emit(t, obs.record(), "worker/global_fallback", "worker global fallback (3.3)", run_worker(dev, r, sc));
+    emit(t, record, "worker/global_fallback", "worker global fallback (3.3)", run_worker(dev, r, sc));
   }
   t.print(std::cout);
   std::cout << "\nexpected shapes: transposed pays a W-way bank-conflict "
                "factor; duplicated rows multiplies shared traffic and "
                "barriers; global staging trades shared pressure for global "
                "segments.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "fig6_8_layout_ablation",
+                         {"profile", "racecheck"}, run);
 }

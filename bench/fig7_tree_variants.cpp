@@ -12,10 +12,8 @@
 #include "acc/ops.hpp"
 #include "gpusim/launch.hpp"
 #include "reduce/tree.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/profiler.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -65,20 +63,11 @@ gpusim::LaunchStats run_tree_bench(std::uint32_t block_threads,
   return stats;
 }
 
-}  // namespace
-
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"profile"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t instances = cli.get_int("instances", 512);
   const bool profile = cli.has("profile") || obs::profile_env_default();
-  obs::Session obs(cli, "fig7_tree_variants");
-  obs.record().meta("instances", instances);
-  if (profile) obs.record().meta("profile", std::int64_t{1});
+  record.meta("instances", instances);
+  if (profile) record.meta("profile", std::int64_t{1});
 
   std::cout << "== Fig. 7 tree-variant ablation (" << instances
             << " in-block reductions per configuration) ==\n\n";
@@ -115,8 +104,7 @@ int run(int argc, char** argv) {
              std::to_string(stats.barriers), std::to_string(stats.syncwarps),
              std::to_string(stats.smem_cycles),
              util::TextTable::num(gpusim::bank_conflict_factor(stats))});
-      obs.record()
-          .entry(std::to_string(block) + "/" + v.key)
+      record.entry(std::to_string(block) + "/" + v.key)
           .attr("variant", v.name)
           .stats(stats);
       if (!stats.profile.empty()) {
@@ -130,14 +118,11 @@ int run(int argc, char** argv) {
   std::cout << "\nexpected shapes: the warp-synchronous tail removes ~5 "
                "block barriers per tree; interleaved-thread addressing "
                "keeps all warps active longer and costs more barriers.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "fig7_tree_variants", {"profile"}, run);
 }

@@ -8,13 +8,10 @@
 // Flags: --counts a,b,c (default 192,2048,16384,65536,196608)
 //        --json FILE / --trace FILE (structured record / event trace)
 #include <iostream>
-#include <sstream>
 
 #include "reduce/finalize.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -40,29 +37,15 @@ gpusim::LaunchStats run(std::size_t count, bool two_pass) {
                                             acc::ReductionOp::kSum, sc);
 }
 
-}  // namespace
-
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "finalize_strategies");
-  std::vector<std::size_t> counts;
-  {
-    std::stringstream ss(cli.get("counts", "192,2048,16384,65536,196608"));
-    for (std::string tok; std::getline(ss, tok, ',');) {
-      counts.push_back(std::stoull(tok));
-    }
-  }
+int run(const util::Cli& cli, obs::RunRecord& record) {
+  const auto counts = cli.get_counts("counts", "192,2048,16384,65536,196608");
 
   std::cout << "== Finalize-kernel strategy ablation (extension; the paper "
                "uses the single-block form of Fig. 5c) ==\n\n";
   util::TextTable t;
   t.header({"partials", "single-block ms", "two-pass ms", "winner"});
-  for (std::size_t count : counts) {
+  for (const std::int64_t n : counts) {
+    const auto count = static_cast<std::size_t>(n);
     const auto one = run(count, false);
     const auto two = run(count, true);
     t.row({std::to_string(count),
@@ -70,11 +53,8 @@ int run(int argc, char** argv) {
            util::TextTable::num(two.device_time_ns / 1e6, 3),
            one.device_time_ns <= two.device_time_ns ? "single-block"
                                                     : "two-pass"});
-    obs.record()
-        .entry(std::to_string(count) + "/single_block")
-        .stats(one);
-    obs.record()
-        .entry(std::to_string(count) + "/two_pass")
+    record.entry(std::to_string(count) + "/single_block").stats(one);
+    record.entry(std::to_string(count) + "/two_pass")
         .attr("winner", one.device_time_ns <= two.device_time_ns
                             ? "single-block"
                             : "two-pass")
@@ -85,14 +65,11 @@ int run(int argc, char** argv) {
                "a few thousand entries (launch overhead dominates); the "
                "two-pass takes over once one SM would serialize the fold "
                "(the RMP buffers of 3.2).\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "finalize_strategies", {}, run);
 }

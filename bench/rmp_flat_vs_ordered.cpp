@@ -10,9 +10,7 @@
 
 #include "reduce/rmp_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -49,25 +47,16 @@ gpusim::LaunchStats run_wv(std::int64_t nk, std::int64_t nj, std::int64_t ni,
   return res.stats;
 }
 
-}  // namespace
-
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+int run(const util::Cli& cli, obs::RunRecord& record) {
   // nj defaults to several times num_workers: the ordered variant runs a
   // vector tree per (k, j) window instance, so the amplification only
   // shows when each worker handles multiple j's.
   const std::int64_t ni = cli.get_int("r", 1 << 11);
   const std::int64_t nj = cli.get_int("nj", 64);
   const std::int64_t nk = 32;
-  obs::Session obs(cli, "rmp_flat_vs_ordered");
-  obs.record().meta("nk", nk);
-  obs.record().meta("nj", nj);
-  obs.record().meta("ni", ni);
+  record.meta("nk", nk);
+  record.meta("nj", nj);
+  record.meta("ni", ni);
 
   std::cout << "== RMP worker&vector: flat buffer (OpenUH) vs ordered "
                "per-level (" << nk << " x " << nj << " x " << ni
@@ -81,20 +70,17 @@ int run(int argc, char** argv) {
     t.row({name, util::TextTable::num(s.device_time_ns / 1e6),
            std::to_string(s.barriers), std::to_string(s.syncwarps),
            std::to_string(s.smem_requests)});
-    obs.record().entry(key).attr("strategy", name).stats(s);
+    record.entry(key).attr("strategy", name).stats(s);
   }
   t.print(std::cout);
   std::cout << "\nexpected shape: the ordered variant runs a tree per "
                "(k, j) instance instead of one per k, multiplying barrier "
                "count and modeled time.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "rmp_flat_vs_ordered", {}, run);
 }

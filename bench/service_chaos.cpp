@@ -50,10 +50,7 @@
 #include <utility>
 #include <vector>
 
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
 #include "service/service.hpp"
-#include "util/cli.hpp"
 #include "util/main_guard.hpp"
 
 namespace {
@@ -128,11 +125,7 @@ class Campaign {
   std::vector<Tracked> jobs_;
 };
 
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"metrics"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "service_chaos");
-
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 256);
   const std::int64_t big_r = r * 64;
   const std::uint32_t workers = cli.get_uint32("workers", 2);
@@ -341,7 +334,7 @@ int run(int argc, char** argv) {
             << "clean checksum " << hex64(clean_checksum) << "  baseline "
             << hex64(baseline_checksum) << "\n";
 
-  auto& chaos = obs.record().entry("chaos");
+  auto& chaos = record.entry("chaos");
   chaos.metric("submitted", static_cast<double>(stats.submitted))
       .metric("admitted", static_cast<double>(stats.admitted))
       .metric("rejected_total",
@@ -365,8 +358,7 @@ int run(int argc, char** argv) {
 
   // The scheduled outcome — `accred_report chaos` fails the gate on any
   // mismatch between these and the same-named "chaos" metrics.
-  obs.record()
-      .entry("expect")
+  record.entry("expect")
       .metric("breaker_opens", 2)
       .metric("rejected_breaker", 1)
       .metric("failed", 3)
@@ -377,7 +369,7 @@ int run(int argc, char** argv) {
       .metric("victim_unstructured", 0)
       .metric("undrained", 0);
 
-  auto& shed = obs.record().entry("shed");
+  auto& shed = record.entry("shed");
   shed.metric("submitted", static_cast<double>(shed_stats.submitted))
       .metric("admitted", static_cast<double>(shed_stats.admitted))
       .metric("completed", static_cast<double>(shed_stats.completed))
@@ -386,23 +378,22 @@ int run(int argc, char** argv) {
       .metric("undrained", static_cast<double>(shed_undrained));
   if (metrics_on) shed.telemetry(std::move(shed_telemetry));
 
-  obs.record()
-      .entry("baseline")
+  record.entry("baseline")
       .metric("jobs", static_cast<double>(clean_replay.size()))
       .metric("undrained", static_cast<double>(baseline_undrained))
       .attr("clean_checksum", hex64(baseline_checksum));
 
-  obs.record().meta("reduction_extent", r);
-  obs.record().meta("workers", static_cast<std::int64_t>(workers));
-  obs.record().meta("faults", kStickyFault);
+  record.meta("reduction_extent", r);
+  record.meta("workers", static_cast<std::int64_t>(workers));
+  record.meta("faults", kStickyFault);
 
   const bool live = undrained == 0 && shed_undrained == 0 &&
                     baseline_undrained == 0;
-  return obs.finish() && live ? 0 : 1;
+  return live ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "service_chaos", {"metrics"}, run);
 }

@@ -26,6 +26,10 @@
 //               checksum over the clean tenants' result hashes
 //               (tests/service/test_service.cpp pins bit-identity).
 //
+// Exits 1 if any throughput-phase job fails, with or without --faults: a
+// failed clean-tenant job breaks fault isolation, and a failed victim job
+// is one the recovery ladder did not save.
+//
 // Flags:
 //   --jobs N           throughput-phase submissions (default 2500)
 //   --r N              base reduction extent (default 256); jobs sample
@@ -58,11 +62,8 @@
 #include <thread>
 #include <vector>
 
-#include "gpusim/pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/record.hpp"
 #include "service/service.hpp"
-#include "util/cli.hpp"
 #include "util/main_guard.hpp"
 #include "util/rng.hpp"
 
@@ -157,11 +158,7 @@ P5099 hist_percentiles(const obs::MetricsRegistry& reg,
   return {h->percentile(0.50), h->percentile(0.99)};
 }
 
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"metrics"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "service_throughput");
-
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::size_t jobs = cli.get_uint32("jobs", 2500);
   const std::int64_t r = cli.get_int("r", 256);
   const std::uint32_t workers = cli.get_uint32("workers", 2);
@@ -244,7 +241,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  std::size_t ok = 0, failed = 0;
+  std::size_t clean_failed = 0;
   double device_ms_total = 0;
   // Wall-clock latency distributions go through the same histogram type as
   // the gated metrics (same bucketing, ns units) but stay wall_*: the
@@ -255,11 +252,6 @@ int run(int argc, char** argv) {
               victim_jobs = 0;
   for (const service::JobResult& res : results) {
     const bool victim = res.tenant == "mallory";
-    if (res.status == service::JobStatus::kOk) {
-      ++ok;
-    } else {
-      ++failed;
-    }
     device_ms_total += res.outcome.device_ms;
     wall_service_ms.record(res.service_ms);
     wall_queue_ms.record(res.queue_ms);
@@ -269,6 +261,7 @@ int run(int argc, char** argv) {
       if (res.outcome.degraded) ++victim_degraded;
       if (res.status != service::JobStatus::kOk) ++victim_failed;
     } else {
+      if (res.status != service::JobStatus::kOk) ++clean_failed;
       // FNV-1a fold over clean tenants' result hashes, in submission
       // order: bit-identical whether or not a victim campaign ran
       // alongside (fault isolation), and for any --sim-threads.
@@ -298,7 +291,7 @@ int run(int argc, char** argv) {
               << " completed, " << t.rejected << " rejected\n";
   }
 
-  auto& tp = obs.record().entry("throughput");
+  auto& tp = record.entry("throughput");
   tp.metric("jobs", static_cast<double>(jobs))
       .metric("completed", static_cast<double>(stats.completed))
       .metric("failed", static_cast<double>(stats.failed))
@@ -324,8 +317,7 @@ int run(int argc, char** argv) {
   if (metrics_on) tp.telemetry(std::move(telemetry));
   for (const auto& [name, t] : tenant_stats) {
     const std::array<P5099, 3>& p = tenant_p[name];
-    obs.record()
-        .entry("tenant/" + name)
+    record.entry("tenant/" + name)
         .metric("weight", t.weight)
         .metric("submitted", static_cast<double>(t.submitted))
         .metric("completed", static_cast<double>(t.completed))
@@ -367,8 +359,7 @@ int run(int argc, char** argv) {
               << "submitted 96: admitted " << paused.admitted
               << ", rejected " << paused.rejected_queue << " (backpressure), "
               << done.completed << " completed after resume\n";
-    obs.record()
-        .entry("admission/occupancy")
+    record.entry("admission/occupancy")
         .metric("queue_capacity", static_cast<double>(acfg.queue_capacity))
         .metric("submitted", static_cast<double>(paused.submitted))
         .metric("admitted", static_cast<double>(paused.admitted))
@@ -398,8 +389,7 @@ int run(int argc, char** argv) {
               << mcfg.memory_budget_bytes << " bytes) ==\n"
               << "submitted 5: admitted " << paused.admitted << ", rejected "
               << paused.rejected_memory << " (memory)\n";
-    obs.record()
-        .entry("admission/memory")
+    record.entry("admission/memory")
         .metric("job_bytes", static_cast<double>(job_bytes))
         .metric("submitted", static_cast<double>(paused.submitted))
         .metric("admitted", static_cast<double>(paused.admitted))
@@ -412,9 +402,8 @@ int run(int argc, char** argv) {
               << "victim jobs " << victim_jobs << ": " << victim_recovered
               << " recovered, " << victim_degraded << " degraded, "
               << victim_failed << " failed\n";
-    obs.record().meta("faults", faults);
-    obs.record()
-        .entry("faults")
+    record.meta("faults", faults);
+    record.entry("faults")
         .metric("victim_jobs", static_cast<double>(victim_jobs))
         .metric("victim_recovered", static_cast<double>(victim_recovered))
         .metric("victim_degraded", static_cast<double>(victim_degraded))
@@ -424,23 +413,26 @@ int run(int argc, char** argv) {
     char hex[19];
     std::snprintf(hex, sizeof hex, "0x%016llx",
                   static_cast<unsigned long long>(clean_checksum));
-    std::cout << "clean-tenant result checksum " << hex << "\n";
-    obs.record().entry("throughput").attr("clean_checksum", hex);
+    std::cout << "clean-tenant result checksum " << hex << "\n"
+              << "failed jobs: " << clean_failed << " clean-tenant, "
+              << victim_failed << " victim\n";
+    record.entry("throughput").attr("clean_checksum", hex);
   }
 
-  obs.record().meta("jobs", static_cast<std::int64_t>(jobs));
-  obs.record().meta("reduction_extent", r);
-  obs.record().meta("workers", static_cast<std::int64_t>(workers));
-  obs.record().meta("seed", static_cast<std::int64_t>(seed));
-  obs.record().meta("tenants", cli.get("tenants", "alice:3,bob:2,carol:1"));
-  if (rate > 0) obs.record().meta("rate", rate);
+  record.meta("jobs", static_cast<std::int64_t>(jobs));
+  record.meta("reduction_extent", r);
+  record.meta("workers", static_cast<std::int64_t>(workers));
+  record.meta("seed", static_cast<std::int64_t>(seed));
+  record.meta("tenants", cli.get("tenants", "alice:3,bob:2,carol:1"));
+  if (rate > 0) record.meta("rate", rate);
 
-  const bool all_ok = failed == 0 || !faults.empty();
-  return obs.finish() && all_ok ? 0 : 1;
+  // Every job must complete: a failed clean-tenant job breaks fault
+  // isolation, and a failed victim job is one the ladder did not recover.
+  return clean_failed == 0 && victim_failed == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "service_throughput", {"metrics"}, run);
 }

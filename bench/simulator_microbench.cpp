@@ -13,10 +13,8 @@
 
 #include "acc/ops.hpp"
 #include "gpusim/launch.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
 #include "reduce/tree.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -173,20 +171,16 @@ private:
   obs::RunRecord& rec_;
 };
 
-}  // namespace
+// The raw command line (set by main), for google-benchmark's own flags.
+int g_argc = 0;
+char** g_argv = nullptr;
 
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "simulator_microbench");
-
-  // google-benchmark rejects flags it does not recognize, so strip ours
-  // (both `--flag value` and `--flag=value` spellings) before handing over.
+int run(const util::Cli&, obs::RunRecord& record) {
+  // google-benchmark rejects flags it does not recognize, so strip
+  // tool_main's (both `--flag value` and `--flag=value` spellings) before
+  // handing over.
+  const int argc = g_argc;
+  char** const argv = g_argv;
   std::vector<char*> args;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -208,17 +202,16 @@ int run(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
     return 1;
   }
-  RecordingReporter reporter(obs.record());
+  RecordingReporter reporter(record);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  g_argc = argc;
+  g_argv = argv;
+  return util::tool_main(argc, argv, "simulator_microbench", {}, run);
 }

@@ -13,9 +13,7 @@
 #include "reduce/multivar.hpp"
 #include "reduce/vector_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -57,18 +55,9 @@ gpusim::LaunchStats vector_case(std::int64_t r, std::uint32_t vlen,
       .stats;
 }
 
-}  // namespace
-
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 1 << 16);
-  obs::Session obs(cli, "special_cases");
-  obs.record().meta("reduction_extent", r);
+  record.meta("reduction_extent", r);
 
   std::cout << "== Special cases of 3.3 (vector reduction, extent " << r
             << ") ==\n\n(a) vector sizes off the warp multiple:\n";
@@ -82,8 +71,7 @@ int run(int argc, char** argv) {
              util::TextTable::num(s.device_time_ns / 1e6),
              std::to_string(s.barriers), std::to_string(s.syncwarps),
              vlen % 32 == 0 ? "warp multiple" : "tail disabled, pre-fold"});
-      obs.record()
-          .entry("vlen/" + std::to_string(vlen))
+      record.entry("vlen/" + std::to_string(vlen))
           .attr("warp_multiple", vlen % 32 == 0 ? "yes" : "no")
           .stats(s);
     }
@@ -101,7 +89,7 @@ int run(int argc, char** argv) {
       t.row({name, util::TextTable::num(s.device_time_ns / 1e6),
              std::to_string(s.gmem_segments),
              std::to_string(s.smem_requests)});
-      obs.record().entry(std::string("staging/") + key)
+      record.entry(std::string("staging/") + key)
           .attr("staging", name)
           .stats(s);
     }
@@ -127,8 +115,7 @@ int run(int argc, char** argv) {
       t.row({std::to_string(nvars), std::to_string(slab),
              std::to_string(sections),
              sections <= 48 * 1024 ? "yes" : "NO"});
-      obs.record()
-          .entry("multivar/" + std::to_string(nvars))
+      record.entry("multivar/" + std::to_string(nvars))
           .metric("slab_bytes", static_cast<std::int64_t>(slab))
           .metric("sections_bytes", static_cast<std::int64_t>(sections))
           .attr("sections_fit", sections <= 48 * 1024 ? "yes" : "NO");
@@ -140,14 +127,11 @@ int run(int argc, char** argv) {
                "shared traffic for extra global segments; the OpenUH slab "
                "stays at one max-type footprint while sections grow "
                "linearly past the hardware limit.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "special_cases", {}, run);
 }

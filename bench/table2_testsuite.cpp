@@ -42,22 +42,14 @@
 #include <iostream>
 
 #include "codegen/cuda_emitter.hpp"
-#include "obs/record.hpp"
 #include "testsuite/report.hpp"
-#include "gpusim/pool.hpp"
-#include "util/cli.hpp"
-
 #include "util/main_guard.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv, {"full", "no-copy", "fig11", "racecheck",
-                                   "no-degrade", "error-on-race", "ext"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
-  obs::Session obs(cli, "table2_testsuite");
+using namespace accred;
 
+int run(const util::Cli& cli, obs::RunRecord& record) {
   testsuite::RunnerOptions opts;
   opts.reduction_extent = cli.get_int("r", 1 << 17);
   if (cli.get_bool("full")) opts.reduction_extent = 1 << 20;
@@ -160,7 +152,7 @@ int run(int argc, char** argv) {
                   << (cell.verified ? "ok" : ("FAIL " + cell.detail))
                   << ", device " << cell.device_ms << " ms, kernels "
                   << cell.kernels << ", attempts " << cell.attempts << "\n";
-        testsuite::record_cell(obs.record(), name, cell);
+        testsuite::record_cell(record, name, cell);
       }
     }
   }
@@ -169,22 +161,22 @@ int run(int argc, char** argv) {
     report.print_fig11(std::cout, types, compilers);
   }
 
-  obs.record().meta("reduction_extent", opts.reduction_extent);
-  obs.record().meta("grid", full_grid ? "full" : "table2");
-  if (opts.racecheck) obs.record().meta("racecheck", std::int64_t{1});
+  record.meta("reduction_extent", opts.reduction_extent);
+  record.meta("grid", full_grid ? "full" : "table2");
+  if (opts.racecheck) record.meta("racecheck", std::int64_t{1});
   // Campaign metadata, conditional like the per-entry fault fields so
   // fault-free records stay bit-identical to the committed baselines.
-  if (!opts.faults.empty()) obs.record().meta("faults", opts.faults);
-  if (opts.error_on_race) obs.record().meta("error_on_race", std::int64_t{1});
-  report.to_record(obs.record());
-  return obs.finish() ? 0 : 1;
+  if (!opts.faults.empty()) record.meta("faults", opts.faults);
+  if (opts.error_on_race) record.meta("error_on_race", std::int64_t{1});
+  report.to_record(record);
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "table2_testsuite",
+                         {"full", "no-copy", "fig11", "racecheck",
+                          "no-degrade", "error-on-race", "ext"},
+                         run);
 }

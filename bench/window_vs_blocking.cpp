@@ -10,9 +10,7 @@
 
 #include "reduce/rmp_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -41,18 +39,9 @@ gpusim::LaunchStats run_same_loop(std::int64_t n, reduce::Assignment mode) {
       .stats;
 }
 
-}  // namespace
-
-#include "util/main_guard.hpp"
-
-namespace {
-
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t n = cli.get_int("n", 1 << 20);
-  obs::Session obs(cli, "window_vs_blocking");
-  obs.record().meta("elements", n);
+  record.meta("elements", n);
 
   std::cout << "== Window-sliding vs blocking iteration assignment "
                "(same-loop reduction over "
@@ -67,21 +56,18 @@ int run(int argc, char** argv) {
     t.row({name, util::TextTable::num(s.device_time_ns / 1e6),
            std::to_string(s.gmem_requests), std::to_string(s.gmem_segments),
            util::TextTable::num(gpusim::coalescing_efficiency(s), 3)});
-    obs.record().entry(key).attr("assignment", name).stats(s);
+    record.entry(key).attr("assignment", name).stats(s);
   }
   t.print(std::cout);
   std::cout << "\nexpected shape: window sliding touches ~1 segment per "
                "warp request (fully coalesced); blocking touches up to 32, "
                "inflating transactions and modeled time by an order of "
                "magnitude.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "window_vs_blocking", {}, run);
 }

@@ -6,21 +6,14 @@
 #include <iostream>
 
 #include "apps/heat.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/table.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+using namespace accred;
 
-  obs::Session obs(cli, "heat_equation");
+int run(const util::Cli& cli, obs::RunRecord& record) {
   apps::HeatOptions opts;
   opts.ni = opts.nj = cli.get_int("n", 128);
   opts.max_iterations = static_cast<int>(cli.get_int("iters", 200));
@@ -52,8 +45,7 @@ int run(int argc, char** argv) {
                r.converged ? "yes" : "no",
                util::TextTable::num(r.reduction_device_ms),
                util::TextTable::num(r.update_device_ms)});
-    obs.record()
-        .entry(std::string(to_string(id)))
+    record.entry(std::string(to_string(id)))
         .metric("reduction_ms", r.reduction_device_ms)
         .metric("update_ms", r.update_device_ms)
         .metric("iterations", r.iterations)
@@ -64,14 +56,11 @@ int run(int argc, char** argv) {
   std::cout << "\nThe reduction column is what the paper's Fig. 12a "
                "compares: its cost repeats every iteration, so the "
                "per-reduction gap accumulates.\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "heat_equation", {}, run);
 }

@@ -8,21 +8,14 @@
 #include <iostream>
 
 #include "apps/matmul.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/table.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv, {"no-verify"});
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+using namespace accred;
 
-  obs::Session obs(cli, "matrix_multiply");
+int run(const util::Cli& cli, obs::RunRecord& record) {
   apps::MatmulOptions opts;
   opts.n = cli.get_int("n", 96);
 
@@ -46,8 +39,7 @@ int run(int argc, char** argv) {
     table.row({std::string(to_string(id)), util::TextTable::num(r.device_ms),
                util::TextTable::num(gpusim::bank_conflict_factor(r.stats)),
                ref.empty() ? "skipped" : util::TextTable::num(max_err, 6)});
-    obs::BenchEntry& e = obs.record()
-                             .entry(std::string(to_string(id)))
+    obs::BenchEntry& e = record.entry(std::string(to_string(id)))
                              .metric("device_ms", r.device_ms)
                              .stats(r.stats);
     if (!ref.empty()) e.metric("max_abs_err", max_err);
@@ -55,14 +47,11 @@ int run(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n(pgi_like is omitted: PGI 13.10 failed the vector '+' "
                "reduction, Table 2 / Fig. 12b.)\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "matrix_multiply", {"no-verify"}, run);
 }

@@ -8,24 +8,17 @@
 #include <iostream>
 
 #include "apps/montecarlo.hpp"
-#include "gpusim/pool.hpp"
-#include "obs/record.hpp"
-#include "util/cli.hpp"
-#include "util/table.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/table.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+using namespace accred;
 
-  obs::Session obs(cli, "monte_carlo_pi");
+int run(const util::Cli& cli, obs::RunRecord& record) {
   apps::MonteCarloOptions opts;
   opts.samples = cli.get_int("samples", 1 << 22);
-  obs.record().meta("samples", opts.samples);
+  record.meta("samples", opts.samples);
 
   std::cout << "Monte Carlo PI with " << opts.samples << " samples ("
             << opts.samples * 16 / (1 << 20) << " MB of coordinates)\n\n";
@@ -43,8 +36,7 @@ int run(int argc, char** argv) {
                util::TextTable::num(std::fabs(r.pi_estimate - M_PI), 6),
                util::TextTable::num(r.device_ms),
                util::TextTable::num(r.transfer_ms)});
-    obs.record()
-        .entry(std::string(to_string(id)))
+    record.entry(std::string(to_string(id)))
         .metric("device_ms", r.device_ms)
         .metric("h2d_ms", r.transfer_ms)
         .attr("pi", util::TextTable::num(r.pi_estimate, 6))
@@ -53,14 +45,11 @@ int run(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nAll profiles count exactly the same hits; the modeled "
                "time differs (Fig. 12c's shape).\n";
-  return obs.finish() ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "monte_carlo_pi", {}, run);
 }

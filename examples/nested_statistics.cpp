@@ -13,19 +13,15 @@
 #include <iostream>
 
 #include "reduce/fused_cascade.hpp"
-#include "gpusim/pool.hpp"
-#include "util/cli.hpp"
+#include "util/main_guard.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-#include "util/main_guard.hpp"
-
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+using namespace accred;
+
+int run(const util::Cli& cli, obs::RunRecord&) {
   const reduce::Nest3 n{cli.get_int("slabs", 6), cli.get_int("rows", 48),
                         cli.get_int("samples", 4096)};
 
@@ -88,9 +84,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "nested_statistics", {}, run);
 }

@@ -7,18 +7,14 @@
 #include <iostream>
 
 #include "acc/openmp.hpp"
-#include "gpusim/pool.hpp"
-#include "util/cli.hpp"
-#include "util/rng.hpp"
-
 #include "util/main_guard.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+using namespace accred;
+
+int run(const util::Cli& cli, obs::RunRecord&) {
   const std::int64_t n = cli.get_int("n", 1 << 20);
 
   gpusim::Device dev;
@@ -65,9 +61,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "openmp_dot_product", {}, run);
 }

@@ -9,17 +9,13 @@
 
 #include "acc/region.hpp"
 #include "gpusim/stats_io.hpp"
-#include "gpusim/pool.hpp"
-#include "util/cli.hpp"
-
 #include "util/main_guard.hpp"
 
 namespace {
 
-int run(int argc, char** argv) {
-  using namespace accred;
-  const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
+using namespace accred;
+
+int run(const util::Cli& cli, obs::RunRecord&) {
   const std::int64_t n = cli.get_int("n", 1 << 20);
 
   // 1. A device and some data.
@@ -78,9 +74,6 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// All benches, examples, and tools share one top-level exception guard:
-// any escaping error prints a structured line and exits non-zero instead
-// of crashing (util/main_guard.hpp).
 int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
+  return util::tool_main(argc, argv, "quickstart", {}, run);
 }

@@ -25,9 +25,9 @@ class DeviceBuffer;
 
 /// A non-owning, kernel-side view of a device buffer. Cheap to copy into
 /// kernels; all loads/stores go through ThreadCtx so they are cost-modeled
-/// and bounds-checked — and, when SimOptions::racecheck (with
-/// racecheck_global) is on, shadow-tracked per word within each block for
-/// barrier-interval race detection (racecheck.hpp).
+/// and bounds-checked — and, when SimOptions::racecheck is on,
+/// shadow-tracked per word within each block for barrier-interval race
+/// detection (racecheck.hpp).
 template <typename T>
 struct GlobalView {
   T* data = nullptr;

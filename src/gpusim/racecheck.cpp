@@ -44,7 +44,7 @@ std::string to_string(const RaceReport& r) {
 }
 
 void RaceChecker::reset(std::size_t shared_bytes, std::uint32_t nwarps,
-                        Dim3 block_idx, Dim3 block_dim, bool track_global) {
+                        Dim3 block_idx, Dim3 block_dim) {
   // Arena reset: bump the generation instead of wiping the shadow arrays.
   // Slots stamped with an older generation are logically zero; they are
   // reinitialized lazily when (if) the new block touches them, so arming a
@@ -61,7 +61,6 @@ void RaceChecker::reset(std::size_t shared_bytes, std::uint32_t nwarps,
   global_used_ = 0;
   warp_epoch_.assign(nwarps, 0);
   block_epoch_ = 0;
-  track_global_ = track_global;
   block_idx_ = block_idx;
   block_dim_ = block_dim;
   races_ = 0;
@@ -164,7 +163,6 @@ void RaceChecker::grow_global_table() {
 void RaceChecker::global_access(std::uint32_t tid, std::uint64_t vaddr,
                                 std::uint32_t bytes, bool write,
                                 std::uint16_t stage) {
-  if (!track_global_) return;
   const std::uint64_t first = vaddr / kGranuleBytes;
   const std::uint64_t last = (vaddr + bytes - 1) / kGranuleBytes;
   for (std::uint64_t g = first; g <= last; ++g) {

@@ -79,10 +79,10 @@ public:
   static constexpr std::size_t kMaxReportsPerBlock = 64;
   static constexpr std::size_t kMaxReportsPerLaunch = 256;
 
-  /// Arm for a new block. `track_global` enables the per-block global-word
-  /// shadow map alongside the (always-on) shared-memory shadow.
+  /// Arm for a new block: the shared-memory shadow and the per-block
+  /// global-word shadow map both start empty.
   void reset(std::size_t shared_bytes, std::uint32_t nwarps, Dim3 block_idx,
-             Dim3 block_dim, bool track_global);
+             Dim3 block_dim);
 
   void shared_access(std::uint32_t tid, std::uint32_t offset,
                      std::uint32_t bytes, bool write, std::uint16_t stage);
@@ -181,7 +181,6 @@ private:
   std::uint32_t gen_ = 0;           ///< bumped per reset(); 0 = never
   std::vector<std::uint32_t> warp_epoch_;
   std::uint32_t block_epoch_ = 0;
-  bool track_global_ = false;
   Dim3 block_idx_{};
   Dim3 block_dim_{};
   std::uint64_t races_ = 0;

@@ -12,6 +12,8 @@ namespace accred::gpusim {
 
 namespace {
 
+constexpr std::size_t kLaneStackBytes = 64 * 1024;
+
 Dim3 unflatten_thread(std::uint32_t tid, const Dim3& block_dim) {
   Dim3 t;
   if (block_dim.y == 1 && block_dim.z == 1) {  // 1-D block: no divisions
@@ -118,8 +120,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
   }
   block_.profile = prof;
   if (opts_.racecheck) {
-    racecheck_.reset(shared_bytes, nwarps, block_idx, block_dim,
-                     opts_.racecheck_global);
+    racecheck_.reset(shared_bytes, nwarps, block_idx, block_dim);
     block_.racecheck = &racecheck_;
   } else {
     block_.racecheck = nullptr;
@@ -159,7 +160,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
   // block touches no fiber. A reallocating ensure() (first block, or a
   // larger shape/stack request) rebuilds the pool over the new slab; if a
   // rebuild throws, the next block finishes it before any lane runs.
-  if (stacks_.ensure(nthreads, opts_.stack_bytes)) fibers_.clear();
+  if (stacks_.ensure(nthreads, kLaneStackBytes)) fibers_.clear();
   if (fibers_.size() < stacks_.count()) {
     while (fibers_.size() < stacks_.count()) {
       fibers_.push_back(std::make_unique<Fiber>(stacks_.stack(fibers_.size()),

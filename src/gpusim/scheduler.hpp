@@ -25,7 +25,6 @@ using KernelFn = std::function<void(ThreadCtx&)>;
 struct SimOptions {
   bool strict_barriers = false;      ///< throw if threads exit while peers
                                      ///< wait at syncthreads (CUDA UB)
-  std::size_t stack_bytes = 64 * 1024;
   /// Host worker threads simulating the blocks of one launch. 0 = process
   /// default (ACCRED_SIM_THREADS env, else hardware_concurrency — see
   /// pool.hpp); 1 = serial. Any value produces bit-identical LaunchStats
@@ -37,16 +36,14 @@ struct SimOptions {
   /// Off by default: the hot paths then carry a single null-pointer branch.
   bool profile = false;
   /// Dynamic race detection (racecheck.hpp). When true — or when the
-  /// ACCRED_RACECHECK environment variable is truthy — every shared (and,
-  /// with racecheck_global, global) access is shadow-tracked per barrier
-  /// interval, and conflicts surface in LaunchStats::race_reports instead
-  /// of crashing. Off by default: like profiling, the hot paths then carry
-  /// a single null-pointer branch and the stats stay bit-identical.
+  /// ACCRED_RACECHECK environment variable is truthy — every shared and
+  /// global access is shadow-tracked per barrier interval (global words
+  /// per block: blocks are independent by the CUDA contract, so
+  /// cross-block global races are out of scope), and conflicts surface in
+  /// LaunchStats::race_reports instead of crashing. Off by default: like
+  /// profiling, the hot paths then carry a single null-pointer branch and
+  /// the stats stay bit-identical.
   bool racecheck = false;
-  /// Also shadow global-buffer words (per block; blocks are independent by
-  /// the CUDA contract, so cross-block global races are out of scope).
-  /// Only meaningful when racecheck is on.
-  bool racecheck_global = true;
   /// Escalate racecheck conflicts to a LaunchError{kRace} after the stats
   /// merge (launch.cpp) instead of merely reporting them. Gives barrier
   /// mutations a structured, terminating failure without strict mode.

@@ -5,8 +5,6 @@
 // per-element trees, and the vectorized finalize all apply unchanged.
 #pragma once
 
-#include <algorithm>
-
 #include "reduce/array_reduce.hpp"
 
 namespace accred::reduce {
@@ -25,30 +23,6 @@ ArrayReduceResult<T> run_segmented_reduction(
         accum.add(segment_of(idx), value_of(ctx, idx));
       },
       sc);
-}
-
-/// CSR-style convenience: segments given by `offsets` boundaries
-/// (offsets.size() - 1 segments; segment s covers
-/// [offsets[s], offsets[s+1]); the extent is offsets.back()). Iterations
-/// are mapped to segments by binary search.
-template <typename T, typename ValFn>
-ArrayReduceResult<T> run_offset_segmented_reduction(
-    gpusim::Device& dev, const std::vector<std::int64_t>& offsets,
-    const acc::LaunchConfig& cfg, acc::ReductionOp op, ValFn&& value_of,
-    const StrategyConfig& sc = {}) {
-  if (offsets.size() < 2 || offsets.front() != 0 ||
-      !std::is_sorted(offsets.begin(), offsets.end())) {
-    throw std::invalid_argument(
-        "segment offsets must be sorted and start at 0");
-  }
-  const auto segment_of = [&offsets](std::int64_t idx) -> std::size_t {
-    const auto it =
-        std::upper_bound(offsets.begin(), offsets.end(), idx);
-    return static_cast<std::size_t>(it - offsets.begin()) - 1;
-  };
-  return run_segmented_reduction<T>(dev, offsets.back(),
-                                    offsets.size() - 1, cfg, op, segment_of,
-                                    value_of, sc);
 }
 
 }  // namespace accred::reduce

@@ -75,21 +75,30 @@ public:
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const {
     auto it = flags_.find(name);
-    if (it == flags_.end()) return fallback;
-    std::size_t pos = 0;
-    std::int64_t v = 0;
-    try {
-      v = std::stoll(it->second, &pos);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + name + ": expected an integer, got \"" +
-                                  it->second + "\"");
+    return it == flags_.end() ? fallback : parse_int(name, it->second);
+  }
+
+  /// Comma-separated list of counts (`--sizes 64,128`): every element
+  /// gets get_int()'s checks and must be at least 1, so `20x`, `abc`, an
+  /// empty element or `-4` is a usage error naming the flag, never a
+  /// silently truncated or wrapped count.
+  [[nodiscard]] std::vector<std::int64_t> get_counts(
+      const std::string& name, const std::string& fallback) const {
+    const std::string text = get(name, fallback);
+    std::vector<std::int64_t> counts;
+    for (std::size_t begin = 0;;) {
+      const std::size_t comma = text.find(',', begin);
+      const std::string item = text.substr(begin, comma - begin);
+      const std::int64_t v = parse_int(name, item);
+      if (v < 1) {
+        throw std::invalid_argument("--" + name +
+                                    ": expected counts of at least 1, got \"" +
+                                    item + "\"");
+      }
+      counts.push_back(v);
+      if (comma == std::string::npos) return counts;
+      begin = comma + 1;
     }
-    if (pos != it->second.size()) {
-      throw std::invalid_argument("--" + name +
-                                  ": trailing characters after integer: \"" +
-                                  it->second + "\"");
-    }
-    return v;
   }
 
   /// Non-negative integer flag that fits in 32 bits (counts such as
@@ -131,6 +140,24 @@ public:
   }
 
 private:
+  static std::int64_t parse_int(const std::string& name,
+                                const std::string& text) {
+    std::size_t pos = 0;
+    std::int64_t v = 0;
+    try {
+      v = std::stoll(text, &pos);
+    } catch (const std::exception&) {
+      throw std::invalid_argument("--" + name + ": expected an integer, got \"" +
+                                  text + "\"");
+    }
+    if (pos != text.size()) {
+      throw std::invalid_argument("--" + name +
+                                  ": trailing characters after integer: \"" +
+                                  text + "\"");
+    }
+    return v;
+  }
+
   std::map<std::string, std::string> flags_;
   std::set<std::string, std::less<>> bool_flags_;
   std::vector<std::string> positional_;

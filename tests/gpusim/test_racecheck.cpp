@@ -155,21 +155,6 @@ TEST(Racecheck, GlobalWordsAreTrackedPerBlock) {
   EXPECT_STREQ(stats.race_reports[0].kind(), "WAW");
 }
 
-TEST(Racecheck, GlobalTrackingCanBeDisabled) {
-  Device dev;
-  auto buf = dev.alloc<int>(1);
-  auto v = buf.view();
-  SimOptions opts = rc_opts();
-  opts.racecheck_global = false;
-  const auto stats = launch(
-      dev, {1}, {64}, 0,
-      [&](ThreadCtx& ctx) { ctx.st(v, 0, static_cast<int>(ctx.threadIdx.x)); },
-      opts);
-  EXPECT_TRUE(stats.racecheck);
-  EXPECT_EQ(stats.races, 0u);
-  EXPECT_TRUE(stats.race_reports.empty());
-}
-
 TEST(Racecheck, StageAttributionWithoutProfiling) {
   // prof_scope names land in the reports even when profiling is off; the
   // stats' profile table itself must stay empty (off means off).

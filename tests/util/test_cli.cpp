@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace accred {
@@ -151,6 +152,30 @@ TEST(Cli, GetUint32RejectsValuesThatWouldWrap) {
   EXPECT_EQ(cli.get_uint32("d", 0), 4294967295U);
   EXPECT_EQ(cli.get_uint32("e", 0), 4U);
   EXPECT_EQ(cli.get_uint32("missing", 7), 7U);
+}
+
+TEST(Cli, GetCountsChecksEveryElement) {
+  // --sizes 20x ran as 20, --sizes abc died in a bare stoll, and
+  // --samples -4 wrapped to a huge count before the list went through
+  // get_int's checks.
+  auto cli = make_cli({"--a", "20x", "--b", "abc", "--c=-4", "--d", "8,0",
+                       "--e", "4,,8", "--f", "64,128"});
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"a", "20x"}, {"b", "abc"}, {"c", "-4"}, {"d", "\"0\""},
+      {"e", "\"\""}};
+  for (const auto& [name, shown] : bad) {
+    try {
+      (void)cli.get_counts(name, "1");
+      FAIL() << "expected std::invalid_argument for --" << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("--" + name + ": ", 0), 0U) << msg;
+      EXPECT_NE(msg.find(shown), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(cli.get_counts("f", "1"), (std::vector<std::int64_t>{64, 128}));
+  EXPECT_EQ(cli.get_counts("missing", "192,2048"),
+            (std::vector<std::int64_t>{192, 2048}));
 }
 
 TEST(Cli, NumericsStillParseGoodValues) {

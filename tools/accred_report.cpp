@@ -11,19 +11,20 @@
 //                         [--slo "HIST:STAT<=BOUND,..."]
 //   accred_report metrics --compare BASELINE.json CURRENT.json [--entry NAME]
 //   accred_report chaos RECORD.json
+//   accred_report same A.json B.json [C.json ...]
 //
 // Exit codes, the same for every subcommand:
 //   0 = report printed, or the gate passed;
 //   1 = the gate failed (diff regression, race, undetected fault, SLO
-//       breach, chaos verdict);
+//       breach, chaos verdict, records not the same);
 //   2 = unreadable or malformed input (every record goes through
-//       obs::load_record), nothing to judge, or bad usage.
+//       obs::load_record), nothing to judge, bad usage, or any other
+//       exception.
 // Each subcommand's verdict rules are in its report_*.cpp.
 #include <iostream>
 #include <string_view>
 
 #include "report.hpp"
-#include "util/main_guard.hpp"
 
 namespace accred::report {
 
@@ -69,6 +70,7 @@ const std::vector<Subcommand>& subcommands() {
         "[--slo \"HIST:STAT<=BOUND,...\"]",
         "--compare BASELINE.json CURRENT.json [--entry NAME]"}},
       {"chaos", report::chaos, false, {"RECORD.json"}},
+      {"same", report::same, false, {"A.json B.json [C.json ...]"}},
   };
   return kAll;
 }
@@ -85,23 +87,27 @@ void usage(const Subcommand* only) {
   }
 }
 
-int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv,
-                      {"help", "all", "wall-report", "list-metrics",
-                       "compare", "histograms"});
+}  // namespace
+
+int main(int argc, char** argv) {
   const Subcommand* sub = nullptr;
-  for (const Subcommand& s : subcommands()) {
-    if (!cli.positional().empty() && cli.positional()[0] == s.name) sub = &s;
-  }
-  if (sub == nullptr || cli.has("help")) {
-    usage(sub);
-    return 2;
-  }
-  const report::Invocation inv{
-      cli,
-      {cli.positional().begin() + 1, cli.positional().end()},
-      sub->takes_entry ? cli.get("entry", "") : ""};
   try {
+    const util::Cli cli(argc, argv,
+                        {"help", "all", "wall-report", "list-metrics",
+                         "compare", "histograms"});
+    for (const Subcommand& s : subcommands()) {
+      if (!cli.positional().empty() && cli.positional()[0] == s.name) {
+        sub = &s;
+      }
+    }
+    if (sub == nullptr || cli.has("help")) {
+      usage(sub);
+      return 2;
+    }
+    const report::Invocation inv{
+        cli,
+        {cli.positional().begin() + 1, cli.positional().end()},
+        sub->takes_entry ? cli.get("entry", "") : ""};
     return sub->run(inv);
   } catch (const report::UsageError& e) {
     if (*e.what() == '\0') {
@@ -111,14 +117,8 @@ int run(int argc, char** argv) {
     }
   } catch (const std::exception& e) {
     std::cerr << "accred_report: " << e.what() << '\n';
+  } catch (...) {
+    std::cerr << "accred_report: unknown exception\n";
   }
   return 2;
-}
-
-}  // namespace
-
-// All benches, examples, and tools share one top-level exception guard
-// (util/main_guard.hpp); run() already maps every std::exception to 2.
-int main(int argc, char** argv) {
-  return accred::util::guarded_main([&] { return run(argc, argv); });
 }

@@ -1,6 +1,6 @@
 // accred_report: one command over accred.bench records.
 //
-//   accred_report <diff|prof|race|fault|metrics|chaos> ARGS...
+//   accred_report <diff|prof|race|fault|metrics|chaos|same> ARGS...
 //
 // The dispatcher (accred_report.cpp) owns the usage text, --entry
 // filtering and the exit contract; each subcommand lives in its own
@@ -57,5 +57,6 @@ int race(const Invocation& inv);
 int fault(const Invocation& inv);
 int metrics(const Invocation& inv);
 int chaos(const Invocation& inv);
+int same(const Invocation& inv);
 
 }  // namespace accred::report
