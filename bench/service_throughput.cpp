@@ -34,7 +34,8 @@
 //   --jobs N           throughput-phase submissions (default 2500)
 //   --r N              base reduction extent (default 256); jobs sample
 //                      {r, 2r}
-//   --tenants SPEC     name:weight,... (default alice:3,bob:2,carol:1)
+//   --tenants SPEC     name[:weight],... (default alice:3,bob:2,carol:1);
+//                      weights are finite numbers above 0, default 1
 //   --workers N        service executor threads (default 2)
 //   --rate R           open-loop arrivals/sec, exponential inter-arrival
 //                      times (0 = submit back-to-back; wall metrics only)
@@ -52,6 +53,7 @@
 //                      named worker/dispatcher/queue rows)
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -76,7 +78,13 @@ struct TenantMix {
   double total_weight = 0;
 };
 
+/// --tenants name[:weight],...: at least one tenant, every name
+/// non-empty, every weight a finite number above 0 (a bare name keeps
+/// weight 1). Anything else is a usage error naming the flag.
 TenantMix parse_tenants(const std::string& spec) {
+  const auto bad = [](const std::string& why) {
+    return std::invalid_argument("--tenants: " + why);
+  };
   TenantMix mix;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -88,10 +96,25 @@ TenantMix parse_tenants(const std::string& spec) {
     const std::size_t colon = part.find(':');
     service::TenantConfig t;
     t.name = part.substr(0, colon);
-    if (colon != std::string::npos) t.weight = std::stod(part.substr(colon + 1));
-    if (t.weight <= 0) t.weight = 1.0;
+    if (t.name.empty()) throw bad("empty tenant name in \"" + part + "\"");
+    if (colon != std::string::npos) {
+      const std::string w = part.substr(colon + 1);
+      const char* end = w.data() + w.size();
+      const auto [stop, ec] = std::from_chars(w.data(), end, t.weight);
+      if (ec != std::errc{} || stop != end || !std::isfinite(t.weight) ||
+          t.weight <= 0) {
+        throw bad("weight of tenant \"" + t.name +
+                  "\" must be a finite number above 0, got \"" + w + "\"");
+      }
+    }
     mix.total_weight += t.weight;
     mix.tenants.push_back(std::move(t));
+  }
+  if (mix.tenants.empty()) {
+    throw bad("expected at least one name[:weight], got \"" + spec + "\"");
+  }
+  if (!std::isfinite(mix.total_weight)) {
+    throw bad("weights sum past the largest double in \"" + spec + "\"");
   }
   return mix;
 }

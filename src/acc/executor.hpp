@@ -177,12 +177,9 @@ GuardedResult<R> execute_guarded(
   gpusim::SimOptions& sim = strategy.sim;
 
   // Normalize the fault source to one spec string so retry stripping works
-  // the same for SimOptions::faults, a pre-resolved plan, and the env
-  // default.
-  std::string spec = sim.fault_plan != nullptr ? sim.fault_plan->to_spec()
-                     : !sim.faults.empty()     ? sim.faults
-                                           : gpusim::faults_env_default();
-  sim.fault_plan = nullptr;
+  // the same for SimOptions::faults and the env default.
+  std::string spec =
+      !sim.faults.empty() ? sim.faults : gpusim::faults_env_default();
 
   const auto append_events = [&out](std::vector<gpusim::FaultEvent> evs) {
     for (gpusim::FaultEvent& e : evs) {

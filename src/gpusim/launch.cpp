@@ -55,19 +55,14 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
   SimOptions sched_opts = opts;
   sched_opts.profile = profiling;
   sched_opts.racecheck = racecheck;
-  // Fault injection: an explicit spec (SimOptions::faults), a pre-resolved
-  // plan, or the ACCRED_FAULTS env default. Parsed once so every shard
-  // scheduler arms the identical immutable plan.
-  std::shared_ptr<const FaultPlan> fault_plan = opts.fault_plan;
-  if (fault_plan == nullptr) {
-    const std::string& spec =
-        !opts.faults.empty() ? opts.faults : faults_env_default();
-    if (!spec.empty()) {
-      fault_plan = std::make_shared<const FaultPlan>(FaultPlan::parse(spec));
-    }
-  }
-  const bool faults_on = fault_plan != nullptr && !fault_plan->empty();
-  sched_opts.fault_plan = faults_on ? fault_plan : nullptr;
+  // Fault injection: an explicit spec (SimOptions::faults) or the
+  // ACCRED_FAULTS env default. Parsed once so every shard scheduler arms
+  // the identical immutable plan.
+  const std::string& fault_spec =
+      !opts.faults.empty() ? opts.faults : faults_env_default();
+  FaultPlan fault_plan;
+  if (!fault_spec.empty()) fault_plan = FaultPlan::parse(fault_spec);
+  const bool faults_on = !fault_plan.empty();
 
   // Kernel begin/end span on virtual tid 0; shard spans and per-block
   // events land on tid 1+shard so the launch envelope stays balanced even
@@ -116,7 +111,7 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
     // Contiguous shard of the flattened block range. Each OS thread runs
     // its blocks on its own scheduler (warm fiber stacks), in issue order.
     BlockScheduler& sched = tls_scheduler();
-    sched.set_options(sched_opts);
+    sched.set_options(sched_opts, faults_on ? &fault_plan : nullptr);
     sched.begin_launch();  // drop stage names interned by earlier launches
     ShardState& shard = shards[s];
     const std::uint64_t lo = nblocks * s / nshards;

@@ -98,8 +98,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
                                    std::uint32_t shard) {
   const auto nthreads = static_cast<std::uint32_t>(block_dim.count());
   const std::uint32_t nwarps = (nthreads + 31) / 32;
-  const bool faults_on =
-      opts_.fault_plan != nullptr && !opts_.fault_plan->empty();
+  const bool faults_on = fault_plan_ != nullptr;
 
   // Arm per-stage attribution before any fiber runs; id 0 is pinned to the
   // unscoped stage so un-annotated kernels still profile cleanly. Racecheck
@@ -131,7 +130,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
         static_cast<std::uint64_t>(grid_dim.x) *
             (block_idx.y + static_cast<std::uint64_t>(grid_dim.y) *
                                block_idx.z);
-    faults_.reset(opts_.fault_plan.get(), flat_block, block_idx, prof);
+    faults_.reset(fault_plan_, flat_block, block_idx, prof);
     block_.faults = faults_.armed() ? &faults_ : nullptr;
   } else {
     block_.faults = nullptr;

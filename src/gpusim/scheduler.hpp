@@ -57,12 +57,8 @@ struct SimOptions {
   /// instrumented access inside) cannot be preempted (DESIGN.md §11).
   std::uint64_t max_steps = 0;
   /// Fault-injection spec (faultinject.hpp grammar); "" = the
-  /// ACCRED_FAULTS env default. launch() parses it into fault_plan below —
-  /// callers driving BlockScheduler directly must set fault_plan instead.
+  /// ACCRED_FAULTS env default. launch() parses it once per launch.
   std::string faults = {};
-  /// The resolved plan the scheduler arms per block. Shared: SimOptions is
-  /// copied per shard and the plan is immutable during a launch.
-  std::shared_ptr<const FaultPlan> fault_plan = nullptr;
   /// Client cancellation token (pool.hpp). When set, launch() consumes one
   /// cancel_at_launch() tick at entry and refuses to start a cancelled
   /// launch, and every block checks the token at each barrier wave so a
@@ -123,7 +119,14 @@ public:
                      std::uint32_t shard = 0);
 
   [[nodiscard]] const SimOptions& options() const noexcept { return opts_; }
-  void set_options(SimOptions opts) noexcept { opts_ = opts; }
+  /// Options for the next blocks, plus the fault plan launch() parsed from
+  /// them (null when no fault is armed), armed per block. The plan is
+  /// immutable and must outlive those blocks; launch() owns it for the
+  /// whole launch.
+  void set_options(SimOptions opts, const FaultPlan* faults) noexcept {
+    opts_ = opts;
+    fault_plan_ = faults;
+  }
 
   /// Launch boundary for this scheduler's recycled per-block scratch: drops
   /// interned stage names (keeping capacity) so one kernel's prof_scope set
@@ -143,6 +146,7 @@ private:
   static void run_thread(void* arg, std::uint32_t tid);
 
   SimOptions opts_;
+  const FaultPlan* fault_plan_ = nullptr;  ///< set_options(); owned by launch()
   BlockState block_;
   obs::StageTable prof_table_;  ///< per-block stage table when profiling
   RaceChecker racecheck_;       ///< per-block shadow state when racechecking

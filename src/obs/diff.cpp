@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -24,6 +25,37 @@ const Json* find_entry(const Json& entries, const std::string& name) {
     if (e.at("name").as_string() == name) return &e;
   }
   return nullptr;
+}
+
+/// The first counter, gauge or histogram name that two telemetry sections
+/// do not share — "<section>: '<name>' is missing from the current record"
+/// or "...: unexpected '<name>' (not in the baseline)" — or "" when every
+/// name set is equal. A section absent on one side holds no names.
+std::string telemetry_name_mismatch(const Json& base, const Json& cur) {
+  const auto names = [](const Json& telemetry, const char* section) {
+    std::set<std::string> out;
+    if (const Json* s = telemetry.find(section)) {
+      for (const auto& [name, value] : s->items()) out.insert(name);
+    }
+    return out;
+  };
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const std::set<std::string> b = names(base, section);
+    const std::set<std::string> c = names(cur, section);
+    for (const std::string& n : b) {
+      if (!c.contains(n)) {
+        return std::string(section) + ": '" + n +
+               "' is missing from the current record";
+      }
+    }
+    for (const std::string& n : c) {
+      if (!b.contains(n)) {
+        return std::string(section) + ": unexpected '" + n +
+               "' (not in the baseline)";
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace
@@ -108,6 +140,17 @@ DiffReport diff_records(const Json& baseline, const Json& current,
     if (!ce) {
       return schema_fail("baseline entry '" + name +
                          "' is missing from the current record");
+    }
+    // The metrics below gate values; a registry name added or dropped in
+    // code would otherwise leave a committed "telemetry" section stale.
+    // Compared only when both sides carry one (a metrics-off run has none).
+    const Json* btel = be.find("telemetry");
+    const Json* ctel = ce->find("telemetry");
+    if (btel != nullptr && ctel != nullptr) {
+      if (const std::string why = telemetry_name_mismatch(*btel, *ctel);
+          !why.empty()) {
+        return schema_fail("entry '" + name + "' telemetry " + why);
+      }
     }
     const Json& bmetrics = be.at("metrics");
     const Json& cmetrics = ce->at("metrics");

@@ -6,7 +6,9 @@
 //   1 — at least one metric regressed past the tolerance, or turned from
 //       a number into something else (the writer emits NaN as null),
 //   2 — the records are not comparable (invalid envelope, bench
-//       mismatch, baseline entry or metric missing from current).
+//       mismatch, baseline entry or metric missing from current, or an
+//       entry whose "telemetry" section, present on both sides, names a
+//       different set of counters, gauges or histograms).
 #pragma once
 
 #include <ostream>

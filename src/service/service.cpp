@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "gpusim/dim3.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
@@ -45,40 +46,75 @@ std::uint64_t refill_units(double rate, std::uint64_t elapsed_ns) {
       std::llround(rate * static_cast<double>(elapsed_ns)));
 }
 
+/// The service-level counters — interned up front, so their names never
+/// depend on which code paths fired — and the ServiceStats field each one
+/// reads back into.
+constexpr std::pair<const char*, std::uint64_t ServiceStats::*>
+    kServiceCounters[] = {
+        {"service/submitted", &ServiceStats::submitted},
+        {"service/admitted", &ServiceStats::admitted},
+        {"service/rejected_queue", &ServiceStats::rejected_queue},
+        {"service/rejected_memory", &ServiceStats::rejected_memory},
+        {"service/completed", &ServiceStats::completed},
+        {"service/failed", &ServiceStats::failed},
+        {"service/recovered", &ServiceStats::recovered},
+        {"service/degraded", &ServiceStats::degraded},
+        {"service/cancelled", &ServiceStats::cancelled},
+        {"service/deadline_exceeded", &ServiceStats::deadline_exceeded},
+        {"service/shed_total", &ServiceStats::shed},
+        {"service/breaker_open_total", &ServiceStats::breaker_opens},
+        {"service/rejected_breaker", &ServiceStats::rejected_breaker},
+};
+
+/// The service counter that books an admitted job settling with `status`.
+const char* settled_counter(JobStatus status) {
+  switch (status) {
+    case JobStatus::kOk: return "service/completed";
+    case JobStatus::kFailed: return "service/failed";
+    case JobStatus::kCancelled: return "service/cancelled";
+    case JobStatus::kDeadlineExceeded: return "service/deadline_exceeded";
+    case JobStatus::kShed: return "service/shed_total";
+    default: return "service/rejected_queue";  // stopped before dispatch
+  }
+}
+
+/// A counter's value, 0 when the registry never interned it (a tenant
+/// with no traffic of that kind); looking it up interns nothing.
+std::uint64_t counted(const obs::MetricsRegistry& reg, std::string_view name) {
+  const obs::Counter* c = reg.find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
 }  // namespace
 
 ReductionService::ReductionService(ServiceConfig cfg,
                                    std::vector<TenantConfig> tenants)
     : cfg_(cfg) {
   if (cfg_.workers == 0) cfg_.workers = 1;
+  // Every job runs on a Device built from the default limits, so the
+  // budget defaults come from them too.
+  const gpusim::DeviceLimits device{};
   if (cfg_.queue_capacity == 0) {
     // Occupancy default: the modeled device can have at most
     // num_sms x max_blocks_per_sm blocks co-resident; admitting more jobs
     // than that many units of work buys latency, not throughput.
     cfg_.queue_capacity =
-        std::size_t{cfg_.device_limits.num_sms} *
-        cfg_.device_limits.max_blocks_per_sm;
+        std::size_t{device.num_sms} * device.max_blocks_per_sm;
   }
   if (cfg_.memory_budget_bytes == 0) {
-    cfg_.memory_budget_bytes = cfg_.device_limits.global_mem_bytes;
+    cfg_.memory_budget_bytes = device.global_mem_bytes;
   }
   paused_ = cfg_.start_paused;
   for (TenantConfig& t : tenants) {
     Tenant tenant;
     tenant.weight = t.weight > 0 ? t.weight : 1.0;
-    tenant.stats.weight = tenant.weight;
     tenants_.emplace(std::move(t.name), std::move(tenant));
   }
   // Intern the whole service-level metric surface up front: the registry's
   // shape (and so the telemetry section's key set) depends only on the
   // tenant names traffic touches, never on which code paths happened to
   // fire. Per-tenant metrics intern on first touch.
-  for (const char* name :
-       {"service/submitted", "service/admitted", "service/rejected_queue",
-        "service/rejected_memory", "service/completed", "service/failed",
-        "service/recovered", "service/degraded", "service/cancelled",
-        "service/deadline_exceeded", "service/shed_total",
-        "service/breaker_open_total", "service/rejected_breaker"}) {
+  for (const auto& [name, field] : kServiceCounters) {
     (void)metrics_.counter(name);
   }
   (void)metrics_.gauge("service/queue_depth_max");
@@ -103,22 +139,9 @@ ReductionService::~ReductionService() {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
     for (auto& [name, t] : tenants_) {
-      while (!t.queue.empty()) {
-        Pending& p = t.queue.front();
-        --open_jobs_;
-        --undelivered_;
-        --queued_;
-        admitted_bytes_ -= p.bytes;
-        ++t.stats.rejected;
-        ++stats_.rejected_queue;
-        metrics_.counter("service/rejected_queue").add();
-        metrics_.counter("tenant/" + name + "/rejected").add();
-        // Fill the doomed job's timeline slot (zero device time) so the
-        // cursor can pass it; these land after any quiescent snapshot.
-        complete_virtual(p.id, 0.0, SlotVerdict::kNeutral);
-        doomed.push_back(std::move(p));
-        t.queue.pop_front();
-      }
+      queued_ -= t.queue.size();
+      for (Pending& p : t.queue) doomed.push_back(std::move(p));
+      t.queue.clear();
     }
   }
   work_cv_.notify_all();
@@ -128,7 +151,7 @@ ReductionService::~ReductionService() {
     r.job_id = p.id;
     r.tenant = p.spec.tenant;
     r.reject_reason = "service stopped before dispatch";
-    finish(p, std::move(r));
+    settle(p, std::move(r), kDispatcherTid);
   }
   for (std::thread& t : workers_) t.join();
 }
@@ -164,25 +187,21 @@ std::uint64_t ReductionService::estimate_service_ns(const JobSpec& spec) {
 }
 
 std::future<JobResult> ReductionService::submit(JobSpec spec) {
-  Pending job;
-  job.spec = std::move(spec);
-  job.want_future = true;
-  std::future<JobResult> fut = job.promise.get_future();
-  (void)admit(std::move(job));  // rejections resolve the future inline
+  // Shared, because std::function needs a copyable callable.
+  auto promise = std::make_shared<std::promise<JobResult>>();
+  std::future<JobResult> fut = promise->get_future();
+  submit(std::move(spec),
+         [promise](JobResult r) { promise->set_value(std::move(r)); });
   return fut;
 }
 
 void ReductionService::submit(JobSpec spec,
                               std::function<void(JobResult)> callback) {
+  const bool tracing = obs::trace_enabled();
+  const double submit_us = tracing ? obs::trace_now_us() : 0;
   Pending job;
   job.spec = std::move(spec);
   job.callback = std::move(callback);
-  (void)admit(std::move(job));  // rejections invoke the callback inline
-}
-
-bool ReductionService::admit(Pending&& job) {
-  const bool tracing = obs::trace_enabled();
-  const double submit_us = tracing ? obs::trace_now_us() : 0;
   job.submitted_at = std::chrono::steady_clock::now();
   job.bytes = estimate_bytes(job.spec);
   std::string reason;
@@ -190,11 +209,7 @@ bool ReductionService::admit(Pending&& job) {
   JobStatus reject_status = JobStatus::kRejected;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.submitted;
-    auto [it, created] = tenants_.try_emplace(job.spec.tenant);
-    Tenant& t = it->second;
-    if (created) t.stats.weight = t.weight;
-    ++t.stats.submitted;
+    Tenant& t = tenants_[job.spec.tenant];
     metrics_.counter("service/submitted").add();
     metrics_.counter("tenant/" + job.spec.tenant + "/submitted").add();
     // Half-open an open breaker whose virtual cooldown has elapsed. Read
@@ -209,7 +224,6 @@ bool ReductionService::admit(Pending&& job) {
     if (stop_) {
       reason = "service stopped";
       reject_kind = "stopped";
-      ++stats_.rejected_queue;
       metrics_.counter("service/rejected_queue").add();
     } else if (cfg_.breaker_threshold > 0 &&
                (t.breaker == Breaker::kOpen ||
@@ -221,14 +235,12 @@ bool ReductionService::admit(Pending&& job) {
                          job.spec.tenant + "' (probe in flight)";
       reject_kind = "breaker";
       reject_status = JobStatus::kCircuitOpen;
-      ++stats_.rejected_breaker;
       metrics_.counter("service/rejected_breaker").add();
     } else if (open_jobs_ >= cfg_.queue_capacity) {
       reason = "occupancy budget exhausted: " + std::to_string(open_jobs_) +
                " open jobs at capacity " +
                std::to_string(cfg_.queue_capacity);
       reject_kind = "occupancy";
-      ++stats_.rejected_queue;
       metrics_.counter("service/rejected_queue").add();
     } else if (admitted_bytes_ + job.bytes > cfg_.memory_budget_bytes) {
       reason = "memory budget exhausted: job needs " +
@@ -237,14 +249,11 @@ bool ReductionService::admit(Pending&& job) {
                " of " + std::to_string(cfg_.memory_budget_bytes) +
                " available";
       reject_kind = "memory";
-      ++stats_.rejected_memory;
       metrics_.counter("service/rejected_memory").add();
     }
     if (!reason.empty()) {
-      ++t.stats.rejected;
       metrics_.counter("tenant/" + job.spec.tenant + "/rejected").add();
     } else {
-      ++stats_.admitted;
       ++open_jobs_;
       ++undelivered_;
       admitted_bytes_ += job.bytes;
@@ -284,8 +293,8 @@ bool ReductionService::admit(Pending&& job) {
     rejected.status = reject_status;
     rejected.tenant = job.spec.tenant;
     rejected.reject_reason = std::move(reason);
-    finish(job, std::move(rejected));
-    return false;
+    if (job.callback) job.callback(std::move(rejected));
+    return;
   }
 
   // Plan after admission, so backpressured traffic never pays for
@@ -295,29 +304,15 @@ bool ReductionService::admit(Pending&& job) {
   try {
     job.plan = plan_job(job.spec);
   } catch (const std::exception& ex) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --open_jobs_;
-      --undelivered_;
-      admitted_bytes_ -= job.bytes;
-      ++stats_.failed;
-      ++tenants_[job.spec.tenant].stats.completed;
-      metrics_.counter("service/failed").add();
-      metrics_.counter("tenant/" + job.spec.tenant + "/completed").add();
-      // The slot must still fill, or the timeline cursor stalls behind it
-      // forever; a job that never ran contributes zero device time. A
-      // planning failure is a structured failure of the tenant's own
-      // submission, so it counts toward its breaker.
-      complete_virtual(job.id, 0.0, SlotVerdict::kFailed);
-      if (undelivered_ == 0) idle_cv_.notify_all();
-    }
+    // A structured failure of the tenant's own submission: it settles as
+    // kFailed, so it counts toward the tenant's breaker.
     JobResult r;
     r.status = JobStatus::kFailed;
     r.job_id = job.id;
     r.tenant = job.spec.tenant;
     r.outcome.detail = std::string("planning failed: ") + ex.what();
-    finish(job, std::move(r));
-    return true;  // admitted (and completed-as-failed), not rejected
+    settle(job, std::move(r), kDispatcherTid);
+    return;
   }
   if (tracing) {
     obs::trace_complete("plan", kDispatcherTid, plan_us,
@@ -348,7 +343,6 @@ bool ReductionService::admit(Pending&& job) {
                         {{"tenant", tenant_name}});
   }
   work_cv_.notify_one();
-  return true;
 }
 
 void ReductionService::complete_virtual(std::uint64_t id, double device_ms,
@@ -406,7 +400,6 @@ void ReductionService::complete_virtual(std::uint64_t id, double device_ms,
         t.probe_inflight = false;
         t.consecutive_failures = 0;
         t.breaker_open_until_ns = s.finish_ns + cfg_.breaker_cooldown_ns;
-        ++stats_.breaker_opens;
         metrics_.counter("service/breaker_open_total").add();
         if (obs::trace_enabled()) {
           obs::trace_complete("breaker_open", kDispatcherTid,
@@ -569,7 +562,8 @@ void ReductionService::worker_main(std::uint32_t worker_index) {
       resolve_unlaunched(std::move(victim), JobStatus::kShed,
                          "shed under sustained overload (modeled wait " +
                              std::to_string(wait_ns) + " ns above target " +
-                             std::to_string(cfg_.shed_target_ns) + " ns)");
+                             std::to_string(cfg_.shed_target_ns) + " ns)",
+                         worker_index);
     }
     switch (pick) {
       case Pick::kRun:
@@ -577,22 +571,22 @@ void ReductionService::worker_main(std::uint32_t worker_index) {
         break;
       case Pick::kCancel:
         resolve_unlaunched(std::move(job), JobStatus::kCancelled,
-                           "cancelled by client while queued");
+                           "cancelled by client while queued", worker_index);
         break;
       case Pick::kDeadline:
         resolve_unlaunched(std::move(job), JobStatus::kDeadlineExceeded,
                            "deadline exceeded before dispatch: modeled wait " +
                                std::to_string(wait_ns) + " ns > deadline " +
-                               std::to_string(job.spec.deadline_ns) + " ns");
+                               std::to_string(job.spec.deadline_ns) + " ns",
+                           worker_index);
         break;
     }
   }
 }
 
 void ReductionService::resolve_unlaunched(Pending job, JobStatus status,
-                                          std::string reason) {
-  const bool tracing = obs::trace_enabled();
-  const double t0_us = tracing ? obs::trace_now_us() : 0;
+                                          std::string reason,
+                                          std::uint32_t worker_index) {
   JobResult r;
   r.status = status;
   r.job_id = job.id;
@@ -600,45 +594,18 @@ void ReductionService::resolve_unlaunched(Pending job, JobStatus status,
   r.reject_reason = std::move(reason);
   r.queue_ms = ms_since(job.submitted_at);
   r.service_ms = r.queue_ms;  // never ran: service time is the queue time
-  const char* kind = status == JobStatus::kCancelled      ? "cancel"
-                     : status == JobStatus::kShed         ? "shed"
-                                                          : "deadline";
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --open_jobs_;
-    admitted_bytes_ -= job.bytes;
-    ++tenants_[job.spec.tenant].stats.completed;
-    metrics_.counter("tenant/" + job.spec.tenant + "/completed").add();
-    switch (status) {
-      case JobStatus::kCancelled:
-        ++stats_.cancelled;
-        metrics_.counter("service/cancelled").add();
-        break;
-      case JobStatus::kDeadlineExceeded:
-        ++stats_.deadline_exceeded;
-        metrics_.counter("service/deadline_exceeded").add();
-        break;
-      default:
-        ++stats_.shed;
-        metrics_.counter("service/shed_total").add();
-        break;
-    }
-    complete_virtual(job.id, 0.0, SlotVerdict::kNeutral);
-  }
-  if (tracing) {
+  if (obs::trace_enabled()) {
     // Lifecycle span on the queue row: the whole queued life of a job the
     // dispatcher resolved without launching.
+    const char* kind = status == JobStatus::kCancelled ? "cancel"
+                       : status == JobStatus::kShed    ? "shed"
+                                                       : "deadline";
     obs::trace_complete(kind, kQueueTid, job.enqueue_us,
-                        t0_us - job.enqueue_us,
+                        obs::trace_now_us() - job.enqueue_us,
                         {{"job", static_cast<double>(job.id)}},
                         {{"tenant", job.spec.tenant}});
   }
-  finish(job, std::move(r));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --undelivered_;
-    if (undelivered_ == 0) idle_cv_.notify_all();
-  }
+  settle(job, std::move(r), 1000 + worker_index);
 }
 
 void ReductionService::run_job(Pending job, std::uint32_t worker_index) {
@@ -658,7 +625,6 @@ void ReductionService::run_job(Pending job, std::uint32_t worker_index) {
   r.queue_ms = ms_since(job.submitted_at);
 
   testsuite::RunnerOptions opts = runner_options(job.spec);
-  opts.device_limits = cfg_.device_limits;
   opts.max_degrade_rungs = cfg_.max_degrade_rungs;
   // Retry-budget grant from the dispatch decision: 0 when the budget is
   // off (ladder bounds attempts), else 1 + the tokens taken.
@@ -686,64 +652,54 @@ void ReductionService::run_job(Pending job, std::uint32_t worker_index) {
          {"ok", r.status == JobStatus::kOk ? 1.0 : 0.0}},
         {{"tenant", job.spec.tenant}});
   }
+  settle(job, std::move(r), 1000 + worker_index);
+}
 
-  // Book the completion — counters and budget — before delivering it: a
-  // client that just resolved this job's future must already see it in
-  // stats(), and one that paces submissions on completions must find the
-  // budget slot free. Only undelivered_ — the drain() signal — waits until
-  // after finish, so drain() returning implies every future is ready and
-  // every callback has run.
+void ReductionService::settle(Pending& job, JobResult result,
+                              std::uint32_t tid) {
+  // Book the end — budget, counters, timeline slot — before delivering
+  // it: a client that just resolved this job's future must already see it
+  // in stats(), and one that paces submissions on completions must find
+  // the budget slot free.
   {
     std::lock_guard<std::mutex> lk(mu_);
     --open_jobs_;
     admitted_bytes_ -= job.bytes;
-    ++tenants_[job.spec.tenant].stats.completed;
-    metrics_.counter("tenant/" + job.spec.tenant + "/completed").add();
-    SlotVerdict verdict = SlotVerdict::kFailed;
-    if (r.outcome.verified) {
-      verdict = SlotVerdict::kOk;
-      ++stats_.completed;
-      metrics_.counter("service/completed").add();
-      if (r.outcome.recovered) {
-        ++stats_.recovered;
-        metrics_.counter("service/recovered").add();
-      }
-      if (r.outcome.degraded) {
-        ++stats_.degraded;
-        metrics_.counter("service/degraded").add();
-      }
-    } else if (was_cancelled) {
-      // The client walked away; says nothing about the tenant's health.
-      verdict = SlotVerdict::kNeutral;
-      ++stats_.cancelled;
-      metrics_.counter("service/cancelled").add();
-    } else {
-      ++stats_.failed;
-      metrics_.counter("service/failed").add();
+    metrics_.counter(settled_counter(result.status)).add();
+    if (result.status == JobStatus::kOk) {
+      if (result.outcome.recovered) metrics_.counter("service/recovered").add();
+      if (result.outcome.degraded) metrics_.counter("service/degraded").add();
     }
-    complete_virtual(job.id, r.outcome.device_ms, verdict);
+    metrics_
+        .counter("tenant/" + job.spec.tenant +
+                 (result.status == JobStatus::kRejected ? "/rejected"
+                                                        : "/completed"))
+        .add();
+    // Only a failure of the tenant's own job — ladder exhausted, planning
+    // failed — counts toward its breaker. Cancelled, deadline-exceeded,
+    // shed and stopped jobs say nothing about the tenant's health. A job
+    // that never ran fills its slot with zero device time, or the cursor
+    // would stall behind it forever.
+    const SlotVerdict verdict = result.status == JobStatus::kOk
+                                    ? SlotVerdict::kOk
+                                : result.status == JobStatus::kFailed
+                                    ? SlotVerdict::kFailed
+                                    : SlotVerdict::kNeutral;
+    complete_virtual(job.id, result.outcome.device_ms, verdict);
   }
+  const bool tracing = obs::trace_enabled();
   const double deliver_us = tracing ? obs::trace_now_us() : 0;
-  finish(job, std::move(r));
+  if (job.callback) job.callback(std::move(result));
   if (tracing) {
-    obs::trace_complete("deliver", 1000 + worker_index, deliver_us,
+    obs::trace_complete("deliver", tid, deliver_us,
                         obs::trace_now_us() - deliver_us,
                         {{"job", static_cast<double>(job.id)}},
                         {{"tenant", job.spec.tenant}});
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --undelivered_;
-    if (undelivered_ == 0) idle_cv_.notify_all();
-  }
-}
-
-void ReductionService::finish(Pending& job, JobResult result) {
-  if (job.want_future) {
-    job.promise.set_value(std::move(result));
-  } else if (job.callback) {
-    job.callback(std::move(result));
-  }
+  // Only the drain() signal waits for the callback: drain() returning
+  // means every future is ready and every callback has run.
+  std::lock_guard<std::mutex> lk(mu_);
+  if (--undelivered_ == 0) idle_cv_.notify_all();
 }
 
 void ReductionService::pause() {
@@ -772,7 +728,10 @@ std::uint64_t ReductionService::drain(std::chrono::nanoseconds timeout) {
 
 ServiceStats ReductionService::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  ServiceStats s = stats_;
+  ServiceStats s;
+  for (const auto& [name, field] : kServiceCounters) {
+    s.*field = counted(metrics_, name);
+  }
   s.queued = queued_;
   s.inflight = open_jobs_ - queued_;
   s.admitted_bytes = admitted_bytes_;
@@ -784,7 +743,14 @@ obs::Json ReductionService::metrics_json() const { return metrics_.to_json(); }
 std::map<std::string, TenantStats> ReductionService::tenant_stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::map<std::string, TenantStats> out;
-  for (const auto& [name, t] : tenants_) out.emplace(name, t.stats);
+  for (const auto& [name, t] : tenants_) {
+    const std::string prefix = "tenant/" + name + "/";
+    TenantStats& s = out[name];
+    s.weight = t.weight;
+    s.submitted = counted(metrics_, prefix + "submitted");
+    s.rejected = counted(metrics_, prefix + "rejected");
+    s.completed = counted(metrics_, prefix + "completed");
+  }
   return out;
 }
 

@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "gpusim/dim3.hpp"
 #include "obs/metrics.hpp"
 #include "service/job.hpp"
 
@@ -50,14 +49,13 @@ struct ServiceConfig {
   /// Executor threads running jobs (each on its own simulated Device).
   std::uint32_t workers = 2;
   /// Occupancy budget: max admitted-but-incomplete jobs. 0 = default from
-  /// the device description (num_sms x max_blocks_per_sm resident blocks
-  /// — the most work the modeled device could ever have co-resident).
+  /// the default gpusim::DeviceLimits (num_sms x max_blocks_per_sm
+  /// resident blocks — the most work the modeled device could ever have
+  /// co-resident).
   std::size_t queue_capacity = 0;
   /// Memory budget: total estimated device bytes across admitted jobs.
-  /// 0 = the device's global memory size.
+  /// 0 = the default device's global memory size.
   std::size_t memory_budget_bytes = 0;
-  /// Device description for per-job devices and the budget defaults.
-  gpusim::DeviceLimits device_limits{};
   /// Start with dispatch paused (admission still runs): deterministic
   /// queue build-up for tests and the bench's admission phase.
   bool start_paused = false;
@@ -99,7 +97,7 @@ struct ServiceConfig {
   int max_degrade_rungs = -1;
 };
 
-/// Per-tenant accounting.
+/// Per-tenant accounting, read from the tenant's telemetry counters.
 struct TenantStats {
   double weight = 1.0;
   std::uint64_t submitted = 0;
@@ -107,8 +105,10 @@ struct TenantStats {
   std::uint64_t completed = 0;  ///< includes failed (executed) jobs
 };
 
-/// Whole-service counters, surfaced into accred.bench records by the
-/// service_throughput driver.
+/// Whole-service counters, read from the telemetry registry (the one
+/// tally, DESIGN.md §14), plus the live occupancy (queued, inflight,
+/// admitted_bytes). Surfaced into accred.bench records by the service
+/// benches.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -140,17 +140,21 @@ public:
   ReductionService& operator=(const ReductionService&) = delete;
 
   /// Submit asynchronously; the future resolves when the job completes
-  /// (or immediately, for admission rejections).
+  /// (or immediately, for admission rejections). Wraps the callback
+  /// flavor with a callback that fulfils the future.
   [[nodiscard]] std::future<JobResult> submit(JobSpec spec);
-  /// Callback flavor: runs on the executing worker thread (or inline on
-  /// the submitting thread for rejections). Must not block.
+  /// Callback flavor: runs on the executing worker thread — inline on the
+  /// submitting thread for admission rejections and planning failures,
+  /// on the destroying thread for jobs the destructor fails. Should not
+  /// block: drain() waits for it.
   void submit(JobSpec spec, std::function<void(JobResult)> callback);
 
   /// Pause / resume dispatch. Admission keeps running while paused.
   void pause();
   void resume();
-  /// Block until every admitted job has completed. Dispatch must be
-  /// running (resume() first if paused) or this never returns.
+  /// Block until every admitted job has settled: its future is ready and
+  /// its callback has returned. Dispatch must be running (resume() first
+  /// if paused) or this never returns.
   void drain();
   /// Bounded drain: wait at most `timeout`, then return the number of
   /// still-undelivered jobs (0 = fully drained). A liveness regression
@@ -196,8 +200,6 @@ private:
     /// Attempt cap granted by the retry budget at dispatch (1 + tokens
     /// taken); 0 = budget off, ladder bounds attempts.
     int attempts_granted = 0;
-    std::promise<JobResult> promise;
-    bool want_future = false;
     std::function<void(JobResult)> callback;
     std::chrono::steady_clock::time_point submitted_at;
     double enqueue_us = 0;  ///< trace timestamp of the enqueue (trace only)
@@ -213,7 +215,6 @@ private:
     double weight = 1.0;
     double pass = 0.0;  ///< virtual finish time of the next dispatch
     std::deque<Pending> queue;
-    TenantStats stats;
     // Breaker state, advanced only at deterministic points: transitions at
     // the timeline cursor (admission order), reads at submission.
     Breaker breaker = Breaker::kClosed;
@@ -248,17 +249,20 @@ private:
     bool probe = false;  ///< the half-open breaker's single probe job
   };
 
-  /// Admission + enqueue shared by both submit flavors. On backpressure
-  /// the job's future/callback is fulfilled immediately with kRejected
-  /// and this returns false.
-  bool admit(Pending&& job);
   void worker_main(std::uint32_t worker_index);
   void run_job(Pending job, std::uint32_t worker_index);
   /// Terminal resolution without launching (cancelled while queued,
-  /// deadline exceeded, shed): books counters + the timeline slot
-  /// (kNeutral verdict), emits the lifecycle span, delivers the result.
-  void resolve_unlaunched(Pending job, JobStatus status, std::string reason);
-  void finish(Pending& job, JobResult result);
+  /// deadline exceeded, shed): emits the lifecycle span on the queue row
+  /// and settles the job on worker `worker_index`'s row.
+  void resolve_unlaunched(Pending job, JobStatus status, std::string reason,
+                          std::uint32_t worker_index);
+  /// The one end of every admitted job (DESIGN.md §13). Under mu_: frees
+  /// its occupancy and memory budget, books the service and tenant
+  /// counters `result.status` names, and fills its timeline slot with the
+  /// verdict that status implies (kOk -> kOk, kFailed -> kFailed, anything
+  /// else -> kNeutral). Then runs the callback — a "deliver" span on trace
+  /// row `tid` — and only after it returns releases drain().
+  void settle(Pending& job, JobResult result, std::uint32_t tid);
   /// Mark job `id`'s slot complete with `device_ms` of modeled device time
   /// and `verdict` for the breaker, and advance the timeline cursor over
   /// every consecutive done slot (breaker transitions happen there, in
@@ -284,10 +288,10 @@ private:
   std::size_t admitted_bytes_ = 0;
   bool paused_ = false;
   bool stop_ = false;
-  ServiceStats stats_;
 
-  /// Telemetry (DESIGN.md §14). The registry's own locks are leaves —
-  /// taken under mu_ by the timeline cursor, never the other way around.
+  /// Telemetry (DESIGN.md §14) and the service's only tally: stats() and
+  /// tenant_stats() read their counters back from it. The registry's own
+  /// locks are leaves — taken under mu_, never the other way around.
   obs::MetricsRegistry metrics_;
   /// Virtual timeline state, all guarded by mu_: arrivals are paced at the
   /// running mean device time (utilization 1), start times follow the

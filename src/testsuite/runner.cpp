@@ -121,7 +121,7 @@ template <typename T, typename Guarded, typename Hash>
 CaseOutcome run_cell(const RunnerOptions& opts, const CellShape& shape,
                      Guarded&& guarded, Hash&& hash) {
   CaseOutcome out;
-  gpusim::Device dev(opts.device_limits);
+  gpusim::Device dev;
   // Arm injected allocation failures on the runner's own buffers too; each
   // arm is one-shot (device.hpp), so the retry loop below recovers.
   const std::string fault_spec =

@@ -63,9 +63,6 @@ struct RunnerOptions {
   /// Watchdog barrier-wave budget override per kernel; 0 = default
   /// (ACCRED_MAX_STEPS env, else gpusim::kDefaultMaxSteps).
   std::uint64_t max_steps = 0;
-  /// Limits for the per-case simulated Device (the reduction service runs
-  /// every job on its own Device built from these).
-  gpusim::DeviceLimits device_limits{};
 };
 
 struct CaseOutcome {

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/record.hpp"
 
@@ -210,6 +212,54 @@ TEST(Diff, ToleranceParsing) {
   EXPECT_THROW((void)parse_tolerance("abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_tolerance("-5%"), std::invalid_argument);
   EXPECT_THROW((void)parse_tolerance(""), std::invalid_argument);
+}
+
+/// One gated row whose entry carries a telemetry section with the given
+/// counter names (each at `value`) and one histogram.
+Json telemetry_record(const std::vector<std::string>& counters,
+                      std::int64_t value = 1) {
+  Json dump = Json::parse(R"({"histograms": {"service/e2e_ms": {}}})");
+  Json names = Json::object();
+  for (const std::string& c : counters) names.set(c, value);
+  dump.set("counters", std::move(names));
+  RunRecord rec("gate_bench");
+  rec.entry("row").metric("device_ms", 2.0).telemetry(std::move(dump));
+  return rec.to_json();
+}
+
+TEST(Diff, TelemetryNameSetsMustMatch) {
+  const Json base = telemetry_record({"service/completed", "service/failed"});
+  // Names are gated here, values are not: a changed count still passes.
+  EXPECT_EQ(
+      diff_records(base,
+                   telemetry_record({"service/completed", "service/failed"}, 7))
+          .exit_code,
+      0);
+
+  const DiffReport renamed = diff_records(
+      base, telemetry_record({"service/done", "service/failed"}));
+  EXPECT_EQ(renamed.exit_code, 2);
+  EXPECT_EQ(renamed.schema_error,
+            "entry 'row' telemetry counters: 'service/completed' is missing "
+            "from the current record");
+
+  const DiffReport added = diff_records(
+      base,
+      telemetry_record({"service/completed", "service/failed", "service/new"}));
+  EXPECT_EQ(added.exit_code, 2);
+  EXPECT_EQ(added.schema_error,
+            "entry 'row' telemetry counters: unexpected 'service/new' (not in "
+            "the baseline)");
+}
+
+TEST(Diff, TelemetryOnOneSideOnlyIsNotCompared) {
+  // A metrics-off run carries no telemetry; it still gates against a
+  // telemetry-carrying baseline, and the other way round.
+  const Json with = telemetry_record({"service/completed"});
+  RunRecord off("gate_bench");
+  off.entry("row").metric("device_ms", 2.0);
+  EXPECT_EQ(diff_records(with, off.to_json()).exit_code, 0);
+  EXPECT_EQ(diff_records(off.to_json(), with).exit_code, 0);
 }
 
 TEST(Diff, ZeroBaselineToNonzeroIsRegression) {

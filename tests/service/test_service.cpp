@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "service_test_util.hpp"
@@ -64,6 +67,39 @@ TEST(Service, DrainWaitsForEveryAdmittedJob) {
   const ServiceStats s = svc.stats();
   EXPECT_EQ(s.queued + s.inflight, 0u);
   EXPECT_EQ(s.admitted_bytes, 0u);
+}
+
+/// drain() returning means every callback has run (DESIGN.md §13). With
+/// one job's callback blocked on a latch, a bounded drain counts that job
+/// as undelivered until the latch opens. `job` is submitted from its own
+/// thread, because a planning failure runs its callback inline there.
+void expect_drain_waits_for_callback(JobSpec job, JobStatus want) {
+  ReductionService svc;
+  std::latch entered(1);
+  std::latch release(1);
+  JobResult got;
+  std::thread submitter([&] {
+    svc.submit(std::move(job), [&](JobResult r) {
+      got = std::move(r);
+      entered.count_down();
+      release.wait();
+    });
+  });
+  entered.wait();
+  EXPECT_EQ(svc.drain(std::chrono::milliseconds(200)), 1u)
+      << "drain() must wait for the blocked callback";
+  release.count_down();
+  drain_or_fail(svc);
+  submitter.join();
+  EXPECT_EQ(got.status, want) << got.outcome.detail;
+}
+
+TEST(Service, DrainWaitsForEveryCallback) {
+  expect_drain_waits_for_callback(make_job(), JobStatus::kOk);
+  // A 2-op chain fails planning ("chain_ops must hold exactly 3 ops").
+  JobSpec unplannable = make_job();
+  unplannable.chain_ops = {acc::ReductionOp::kSum, acc::ReductionOp::kSum};
+  expect_drain_waits_for_callback(std::move(unplannable), JobStatus::kFailed);
 }
 
 TEST(Service, DestructorFailsQueuedJobsWithRejection) {
