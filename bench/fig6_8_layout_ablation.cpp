@@ -114,9 +114,9 @@ void emit(util::TextTable& t, obs::RunRecord& rec, const std::string& key,
 
 int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 1 << 16);
-  const bool profile = cli.get_bool("profile") || obs::profile_env_default();
-  const bool racecheck =
-      cli.get_bool("racecheck") || gpusim::racecheck_env_default();
+  const gpusim::SimOptions defaults;
+  const bool profile = cli.get_bool("profile", defaults.profile);
+  const bool racecheck = cli.get_bool("racecheck", defaults.racecheck);
   record.meta("reduction_extent", r);
   if (profile) record.meta("profile", std::int64_t{1});
   if (racecheck) record.meta("racecheck", std::int64_t{1});

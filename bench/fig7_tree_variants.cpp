@@ -65,7 +65,7 @@ gpusim::LaunchStats run_tree_bench(std::uint32_t block_threads,
 
 int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t instances = cli.get_int("instances", 512);
-  const bool profile = cli.has("profile") || obs::profile_env_default();
+  const bool profile = cli.get_bool("profile", gpusim::SimOptions{}.profile);
   record.meta("instances", instances);
   if (profile) record.meta("profile", std::int64_t{1});
 

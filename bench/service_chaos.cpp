@@ -37,7 +37,6 @@
 //   --r N            base reduction extent (default 256; bursts use 64r)
 //   --workers N      service executor threads (default 2)
 //   --sim-threads N  host threads per kernel launch (results identical)
-//   --metrics        attach both telemetry registries to the record
 //   --json FILE      write the accred.bench record (`accred_report chaos`
 //                    input)
 //   --trace FILE     chrome://tracing export (breaker / cancel / shed spans)
@@ -129,8 +128,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 256);
   const std::int64_t big_r = r * 64;
   const std::uint32_t workers = cli.get_uint32("workers", 2);
-  const bool metrics_on =
-      cli.get_bool("metrics", false) || obs::metrics_env_default();
 
   // ---- Chaos service: breaker + budget + deadlines + cancellation ----
   std::uint64_t undrained = 0;
@@ -279,7 +276,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
     cfg.workers = workers;
     cfg.start_paused = true;
     cfg.shed_target_ns = 1000;
-    cfg.shed_interval_ns = 1000;
     service::ReductionService svc(cfg, {{"burst", 1.0}});
     std::vector<std::future<service::JobResult>> futs;
     // Small jobs first drag the arrival-pacing mean down; the oversized
@@ -354,7 +350,7 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
               static_cast<double>(victim_unstructured))
       .metric("undrained", static_cast<double>(undrained))
       .attr("clean_checksum", hex64(clean_checksum));
-  if (metrics_on) chaos.telemetry(std::move(chaos_telemetry));
+  chaos.telemetry(std::move(chaos_telemetry));
 
   // The scheduled outcome — `accred_report chaos` fails the gate on any
   // mismatch between these and the same-named "chaos" metrics.
@@ -376,7 +372,7 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
       .metric("shed", static_cast<double>(shed_stats.shed))
       .metric("shed_min", 1)
       .metric("undrained", static_cast<double>(shed_undrained));
-  if (metrics_on) shed.telemetry(std::move(shed_telemetry));
+  shed.telemetry(std::move(shed_telemetry));
 
   record.entry("baseline")
       .metric("jobs", static_cast<double>(clean_replay.size()))
@@ -395,5 +391,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "service_chaos", {"metrics"}, run);
+  return util::tool_main(argc, argv, "service_chaos", {}, run);
 }

@@ -6,9 +6,8 @@
 // Latency percentiles come from the service's telemetry registry
 // (DESIGN.md §14): modeled device time plus the virtual-timeline queue
 // wait and end-to-end latency, all bit-deterministic for any --workers
-// and --sim-threads. With --metrics (or ACCRED_METRICS) the throughput
-// entry also carries the full registry dump as its "telemetry" section;
-// without it the record keeps the exact pre-v3 shape.
+// and --sim-threads. The throughput entry also carries the full registry
+// dump as its "telemetry" section.
 //
 // Three phases, each its own service instance:
 //   throughput  N jobs over a weighted tenant mix; the driver submits from
@@ -46,8 +45,6 @@
 //   --faults SPEC      arm SPEC (faultinject.hpp grammar) on the "mallory"
 //                      tenant's jobs only
 //   --sim-threads N    host threads per kernel launch (results identical)
-//   --metrics          attach the telemetry registry to the record
-//                      (default: the ACCRED_METRICS env var)
 //   --json FILE        write the accred.bench record
 //   --trace FILE       chrome://tracing export (lifecycle spans per job,
 //                      named worker/dispatcher/queue rows)
@@ -205,9 +202,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
   cfg.workers = workers;
   cfg.queue_capacity = cli.get_uint32("queue-capacity", 0);
 
-  const bool metrics_on =
-      cli.get_bool("metrics", false) || obs::metrics_env_default();
-
   // ---- Phase 1: throughput ------------------------------------------
   std::vector<service::JobResult> results;
   double wall_ms = 0;
@@ -337,7 +331,7 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
       .metric("wall_p50_ms", wall_service_ms.percentile(0.50))
       .metric("wall_p99_ms", wall_service_ms.percentile(0.99))
       .metric("wall_queue_p50_ms", wall_queue_ms.percentile(0.50));
-  if (metrics_on) tp.telemetry(std::move(telemetry));
+  tp.telemetry(std::move(telemetry));
   for (const auto& [name, t] : tenant_stats) {
     const std::array<P5099, 3>& p = tenant_p[name];
     record.entry("tenant/" + name)
@@ -457,5 +451,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "service_throughput", {"metrics"}, run);
+  return util::tool_main(argc, argv, "service_throughput", {}, run);
 }

@@ -55,17 +55,15 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
   if (cli.get_bool("full")) opts.reduction_extent = 1 << 20;
   opts.parallel_work = !cli.get_bool("no-copy");
   opts.racecheck = cli.get_bool("racecheck");
-  opts.faults = cli.get("faults", "");
+  opts.faults = cli.get("faults", opts.faults);
   opts.max_retries = static_cast<int>(cli.get_int("max-retries", 1));
   opts.degrade = !cli.get_bool("no-degrade");
   opts.error_on_race = cli.get_bool("error-on-race");
   opts.max_steps = cli.get_uint32("max-steps", 0);
   testsuite::Runner runner(opts);
-  // The same cells with injection off, the ACCRED_FAULTS default included:
-  // a spec of one empty clause arms nothing, and being set it overrides
-  // the default.
+  // The same cells with injection off.
   testsuite::RunnerOptions clean_opts = opts;
-  clean_opts.faults = ";";
+  clean_opts.faults = "";
   testsuite::Runner clean(clean_opts);
   // A fault that fired while its cell still verified on the first attempt
   // is masked only if a fault-free run of the cell hashes the same. Any

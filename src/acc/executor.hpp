@@ -148,14 +148,30 @@ struct GuardedResult {
   std::vector<gpusim::FaultEvent> fault_events;
 };
 
+/// The numeric guard every result with a `scalar` passes before its
+/// verifier: a non-finite scalar is never a valid reduction result.
+template <typename R>
+bool finite_scalar(const R& res, std::string& detail) {
+  if constexpr (requires { *res.scalar; }) {
+    if (res.scalar && !std::isfinite(static_cast<double>(*res.scalar))) {
+      detail = "non-finite scalar result";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Run `attempt(launch, strategy)` under the graceful-degradation policy —
 /// the one loop that retries and degrades launches. Each call gets the
 /// current, possibly degraded, geometry and strategy config and returns a
-/// result carrying `stats`; a device-side failure escapes it as
-/// gpusim::LaunchError.
-/// `verify` (optional) is the numeric guard: it sees a completed result and
-/// returns false — filling `detail` — when the values are unacceptable
-/// (the testsuite runner passes its sequential-reference check here).
+/// result carrying `stats`; a device-side failure, an allocation's
+/// included, escapes it as gpusim::LaunchError. `strategy.sim.faults` is
+/// the fault spec ("" arms nothing); its alloc_fail faults are armed on
+/// `dev` before each call.
+/// `verify` (optional) is the numeric guard: it sees a completed result that
+/// passed finite_scalar and returns false — filling `detail` — when the
+/// values are unacceptable (the testsuite runner passes its
+/// sequential-reference check here).
 /// Failed attempts walk:
 ///
 ///   rung 0  as given; after the first failure, non-sticky injected
@@ -174,12 +190,8 @@ GuardedResult<R> execute_guarded(
     const std::type_identity_t<std::function<bool(const R&, std::string&)>>&
         verify = {}) {
   GuardedResult<R> out;
-  gpusim::SimOptions& sim = strategy.sim;
-
-  // Normalize the fault source to one spec string so retry stripping works
-  // the same for SimOptions::faults and the env default.
-  std::string spec =
-      !sim.faults.empty() ? sim.faults : gpusim::faults_env_default();
+  // The attempt's fault spec; stripping its non-sticky faults rewrites it.
+  std::string& spec = strategy.sim.faults;
 
   const auto append_events = [&out](std::vector<gpusim::FaultEvent> evs) {
     for (gpusim::FaultEvent& e : evs) {
@@ -203,7 +215,6 @@ GuardedResult<R> execute_guarded(
     gpusim::FaultPlan faults;
     if (!spec.empty()) faults = gpusim::FaultPlan::parse(spec);
     out.faults_armed = out.faults_armed || !faults.empty();
-    sim.faults = spec;
     // Alloc-fail arms are one-shot on the device; re-arm the current set
     // each attempt so sticky alloc faults keep firing down the ladder.
     if (faults.has_alloc_faults()) {
@@ -217,7 +228,7 @@ GuardedResult<R> execute_guarded(
       R res = attempt(launch, strategy);
       append_events(std::move(res.stats.fault_events));
       std::string detail;
-      if (!verify || verify(res, detail)) {
+      if (finite_scalar(res, detail) && (!verify || verify(res, detail))) {
         out.ok = true;
         out.result = std::move(res);
         out.launch = launch;
@@ -328,8 +339,7 @@ GuardedResult<R> execute_guarded(
 
 /// Run `plan` with the given loop-body bindings under the same policy:
 /// each attempt executes the plan at the ladder's current geometry and
-/// strategy config. A non-finite floating scalar fails the numeric guard
-/// before `verify` runs.
+/// strategy config.
 template <typename T>
 GuardedResult<reduce::ReduceResult<T>> execute_guarded(
     gpusim::Device& dev, ExecutionPlan plan, const reduce::Bindings<T>& b,
@@ -343,16 +353,7 @@ GuardedResult<reduce::ReduceResult<T>> execute_guarded(
         plan.strategy = strategy;
         return execute<T>(dev, plan, b);
       },
-      policy,
-      [&verify](const reduce::ReduceResult<T>& res, std::string& detail) {
-        if constexpr (std::is_floating_point_v<T>) {
-          if (res.scalar && !std::isfinite(*res.scalar)) {
-            detail = "non-finite scalar result";
-            return false;
-          }
-        }
-        return !verify || verify(res, detail);
-      });
+      policy, verify);
 }
 
 }  // namespace accred::acc

@@ -167,8 +167,8 @@ class BlockFaults {
   Dim3 block_idx_{};
 };
 
-/// The ACCRED_FAULTS environment variable (read once): the ambient default
-/// for SimOptions::faults, mirroring ACCRED_RACECHECK. "" when unset.
+/// The ACCRED_FAULTS environment variable (read once): the initial value of
+/// SimOptions::faults and testsuite::RunnerOptions::faults. "" when unset.
 [[nodiscard]] const std::string& faults_env_default();
 
 }  // namespace accred::gpusim

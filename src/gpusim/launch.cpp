@@ -45,23 +45,10 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
   const std::uint64_t nblocks = grid.count();
   const std::uint32_t nshards = resolve_sim_threads(opts.sim_threads, nblocks);
 
-  // Per-stage attribution: explicit opt-in or the ACCRED_PROFILE env
-  // default. Resolved once here so every shard scheduler sees the same
-  // decision.
-  const bool profiling = opts.profile || obs::profile_env_default();
-  // Race detection resolves the same way (explicit opt-in or the
-  // ACCRED_RACECHECK env default).
-  const bool racecheck = opts.racecheck || racecheck_env_default();
-  SimOptions sched_opts = opts;
-  sched_opts.profile = profiling;
-  sched_opts.racecheck = racecheck;
-  // Fault injection: an explicit spec (SimOptions::faults) or the
-  // ACCRED_FAULTS env default. Parsed once so every shard scheduler arms
-  // the identical immutable plan.
-  const std::string& fault_spec =
-      !opts.faults.empty() ? opts.faults : faults_env_default();
+  // Fault injection: parsed once so every shard scheduler arms the
+  // identical immutable plan.
   FaultPlan fault_plan;
-  if (!fault_spec.empty()) fault_plan = FaultPlan::parse(fault_spec);
+  if (!opts.faults.empty()) fault_plan = FaultPlan::parse(opts.faults);
   const bool faults_on = !fault_plan.empty();
 
   // Kernel begin/end span on virtual tid 0; shard spans and per-block
@@ -84,12 +71,12 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
   std::vector<double> block_alu(nblocks);
   // Per-block stage tables, merged below in the same block-order fold as
   // block_alu — the per-stage doubles inherit the determinism contract.
-  std::vector<obs::StageTable> block_profiles(profiling ? nblocks : 0);
+  std::vector<obs::StageTable> block_profiles(opts.profile ? nblocks : 0);
   // Per-block race results, folded below in the same block-order walk so
   // the reports (and their cap cut-off) are identical for any sim_threads.
-  std::vector<std::uint64_t> block_races(racecheck ? nblocks : 0);
-  std::vector<std::vector<RaceReport>> block_race_reports(racecheck ? nblocks
-                                                                    : 0);
+  std::vector<std::uint64_t> block_races(opts.racecheck ? nblocks : 0);
+  std::vector<std::vector<RaceReport>> block_race_reports(
+      opts.racecheck ? nblocks : 0);
   // Per-block fired-fault lists, concatenated in the same block-order walk.
   std::vector<std::vector<FaultEvent>> block_fault_events(
       faults_on ? nblocks : 0);
@@ -111,7 +98,7 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
     // Contiguous shard of the flattened block range. Each OS thread runs
     // its blocks on its own scheduler (warm fiber stacks), in issue order.
     BlockScheduler& sched = tls_scheduler();
-    sched.set_options(sched_opts, faults_on ? &fault_plan : nullptr);
+    sched.set_options(opts, faults_on ? &fault_plan : nullptr);
     sched.begin_launch();  // drop stage names interned by earlier launches
     ShardState& shard = shards[s];
     const std::uint64_t lo = nblocks * s / nshards;
@@ -128,8 +115,8 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
         block_costs[b] = run.cost_ns;
         block_alu[b] = run.alu_units;
         const std::size_t stages = run.profile.rows().size();
-        if (profiling) block_profiles[b] = std::move(run.profile);
-        if (racecheck) {
+        if (opts.profile) block_profiles[b] = std::move(run.profile);
+        if (opts.racecheck) {
           block_races[b] = run.races;
           block_race_reports[b] = std::move(run.race_reports);
         }
@@ -167,7 +154,7 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
       if (e.info().code != LaunchErrorCode::kCancelled) {
         shard.error = std::current_exception();
         cancel.cancel_from(s);
-      } else if (sched_opts.cancel_token && sched_opts.cancel_token->cancelled()) {
+      } else if (opts.cancel_token && opts.cancel_token->cancelled()) {
         LaunchErrorInfo info;
         info.code = LaunchErrorCode::kCancelled;
         info.message = "launch cancelled by client";
@@ -197,7 +184,7 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     stats.alu_units += block_alu[b];  // doubles: fold in block order
   }
-  if (profiling) {
+  if (opts.profile) {
     // Stage tables join by name in the same flattened-block order, so the
     // per-stage totals (including their alu doubles) are bit-identical for
     // any sim_threads.
@@ -205,8 +192,8 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
       stats.profile.merge(block_profiles[b]);
     }
   }
-  stats.racecheck = racecheck;
-  if (racecheck) {
+  stats.racecheck = opts.racecheck;
+  if (opts.racecheck) {
     // Reports concatenate in flattened block order, so the launch-level cap
     // cuts at the same report for any sim_threads.
     for (std::uint64_t b = 0; b < nblocks; ++b) {
@@ -236,7 +223,7 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
   // this is what gives uniformly-deleted barriers (no divergence, no hang —
   // just a data race) a LaunchError without strict mode. The first report
   // in block order names the site; the count is exact.
-  if (racecheck && sched_opts.error_on_race && stats.races > 0) {
+  if (opts.racecheck && opts.error_on_race && stats.races > 0) {
     LaunchErrorInfo info;
     info.code = LaunchErrorCode::kRace;
     info.message = std::to_string(stats.races) + " racecheck conflict" +

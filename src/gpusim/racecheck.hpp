@@ -187,8 +187,8 @@ private:
   std::vector<Pending> pending_;
 };
 
-/// Truthy ACCRED_RACECHECK environment variable (parsed once): the ambient
-/// default for SimOptions::racecheck, mirroring ACCRED_PROFILE.
+/// Truthy ACCRED_RACECHECK environment variable (parsed once): the initial
+/// value of SimOptions::racecheck, mirroring ACCRED_PROFILE.
 [[nodiscard]] bool racecheck_env_default();
 
 }  // namespace accred::gpusim

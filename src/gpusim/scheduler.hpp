@@ -15,6 +15,7 @@
 #include "gpusim/pool.hpp"
 #include "gpusim/racecheck.hpp"
 #include "gpusim/thread_ctx.hpp"
+#include "obs/profiler.hpp"
 
 namespace accred::gpusim {
 
@@ -30,20 +31,21 @@ struct SimOptions {
   /// pool.hpp); 1 = serial. Any value produces bit-identical LaunchStats
   /// and kernel results (DESIGN.md §7).
   std::uint32_t sim_threads = 0;
-  /// Per-stage event attribution (obs/profiler.hpp). When true — or when
-  /// the ACCRED_PROFILE environment variable is truthy — every launch
-  /// fills LaunchStats::profile from the kernel's prof_scope annotations.
-  /// Off by default: the hot paths then carry a single null-pointer branch.
-  bool profile = false;
-  /// Dynamic race detection (racecheck.hpp). When true — or when the
-  /// ACCRED_RACECHECK environment variable is truthy — every shared and
+  /// Per-stage event attribution (obs/profiler.hpp). When true, every
+  /// launch fills LaunchStats::profile from the kernel's prof_scope
+  /// annotations. Starts as the ACCRED_PROFILE environment variable, which
+  /// is off when unset: the hot paths then carry a single null-pointer
+  /// branch.
+  bool profile = obs::profile_env_default();
+  /// Dynamic race detection (racecheck.hpp). When true, every shared and
   /// global access is shadow-tracked per barrier interval (global words
   /// per block: blocks are independent by the CUDA contract, so
   /// cross-block global races are out of scope), and conflicts surface in
-  /// LaunchStats::race_reports instead of crashing. Off by default: like
+  /// LaunchStats::race_reports instead of crashing. Starts as the
+  /// ACCRED_RACECHECK environment variable, which is off when unset: like
   /// profiling, the hot paths then carry a single null-pointer branch and
   /// the stats stay bit-identical.
-  bool racecheck = false;
+  bool racecheck = racecheck_env_default();
   /// Escalate racecheck conflicts to a LaunchError{kRace} after the stats
   /// merge (launch.cpp) instead of merely reporting them. Gives barrier
   /// mutations a structured, terminating failure without strict mode.
@@ -56,9 +58,10 @@ struct SimOptions {
   /// cooperative scheduler: a non-yielding infinite loop (no barrier, no
   /// instrumented access inside) cannot be preempted (DESIGN.md §11).
   std::uint64_t max_steps = 0;
-  /// Fault-injection spec (faultinject.hpp grammar); "" = the
-  /// ACCRED_FAULTS env default. launch() parses it once per launch.
-  std::string faults = {};
+  /// Fault-injection spec (faultinject.hpp grammar); "" arms nothing.
+  /// Starts as the ACCRED_FAULTS environment variable. launch() parses it
+  /// once per launch.
+  std::string faults = faults_env_default();
   /// Client cancellation token (pool.hpp). When set, launch() consumes one
   /// cancel_at_launch() tick at entry and refuses to start a cancelled
   /// launch, and every block checks the token at each barrier wave so a

@@ -143,7 +143,7 @@ DiffReport diff_records(const Json& baseline, const Json& current,
     }
     // The metrics below gate values; a registry name added or dropped in
     // code would otherwise leave a committed "telemetry" section stale.
-    // Compared only when both sides carry one (a metrics-off run has none).
+    // Compared only when both sides carry one.
     const Json* btel = be.find("telemetry");
     const Json* ctel = ce->find("telemetry");
     if (btel != nullptr && ctel != nullptr) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/json.hpp"
@@ -258,15 +257,6 @@ Json MetricsRegistry::to_json() const {
     j.set("histograms", std::move(h));
   }
   return j;
-}
-
-bool metrics_env_default() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ACCRED_METRICS");
-    return env != nullptr && *env != '\0' &&
-           std::string_view(env) != "0";
-  }();
-  return enabled;
 }
 
 }  // namespace accred::obs

@@ -165,9 +165,4 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Process default for record-telemetry emission when --metrics is absent:
-/// the ACCRED_METRICS environment variable, truthy when set and not "0"
-/// (parsed once, mirroring ACCRED_PROFILE).
-[[nodiscard]] bool metrics_env_default();
-
 }  // namespace accred::obs

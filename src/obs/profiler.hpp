@@ -108,7 +108,7 @@ class StageTable {
   std::vector<Row> rows_;
 };
 
-/// Process default for SimOptions::profile == false: the ACCRED_PROFILE
+/// The initial value of SimOptions::profile: the ACCRED_PROFILE
 /// environment variable, truthy when set and not "0" (parsed once).
 [[nodiscard]] bool profile_env_default();
 

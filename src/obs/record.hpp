@@ -98,8 +98,7 @@ public:
   BenchEntry& profile(const StageTable& table);
 
   /// Attach a telemetry section (schema v3): a MetricsRegistry::to_json()
-  /// dump. Callers gate this on --metrics / ACCRED_METRICS so metrics-off
-  /// records keep their pre-v3 shape.
+  /// dump.
   BenchEntry& telemetry(Json registry_dump);
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -23,12 +23,10 @@ std::string_view to_string(JobStatus s) {
 testsuite::RunnerOptions runner_options(const JobSpec& job) {
   testsuite::RunnerOptions opts;
   opts.reduction_extent = job.reduction_extent;
-  opts.parallel_work = job.parallel_work;
   opts.config = job.config;
   opts.sim_threads = job.sim_threads;
   opts.faults = job.faults;
   opts.max_retries = job.max_retries;
-  opts.degrade = job.degrade;
   opts.cancel = job.cancel;
   return opts;
 }

@@ -31,12 +31,11 @@ struct JobSpec {
   /// Cascaded-chain job: per-stage ops, innermost first (vector, worker,
   /// gang). Empty = scalar job at `kase`. When set (must be exactly 3
   /// ops), planning goes through plan_chained() and yields one fused
-  /// kFusedCascade plan instead of N per-level launches; `kase.pos` and
-  /// `kase.op` are ignored for planning but still name the verification
-  /// cell the runner checks (use kGangWorkerVector + the outermost op).
+  /// kFusedCascade plan instead of N per-level launches, and the runner
+  /// verifies it against a stage-by-stage fold with each stage's op.
+  /// `kase.pos` must then be kGangWorkerVector (the chain's geometry), and
+  /// `kase.op` only picks the input values (testsuite_value).
   std::vector<acc::ReductionOp> chain_ops;
-  /// Include the Fig. 4-style parallel copy on the non-reducing levels.
-  bool parallel_work = true;
   acc::LaunchConfig config{};  ///< launch geometry knobs
   /// Per-job fault-injection spec (faultinject.hpp grammar); "" = clean.
   /// Faults are armed on this job's own device and launches only — one
@@ -44,7 +43,6 @@ struct JobSpec {
   std::string faults;
   /// Same-configuration re-runs before the degradation ladder engages.
   int max_retries = 1;
-  bool degrade = true;  ///< walk the degradation ladder after retries
   /// Host worker threads per kernel launch (0 = process default). Results
   /// are bit-identical for every value (DESIGN.md §7).
   std::uint32_t sim_threads = 0;

@@ -162,10 +162,7 @@ std::size_t ReductionService::estimate_bytes(const JobSpec& spec) {
   const testsuite::CaseGeometry geo =
       testsuite::case_geometry(spec.kase.pos, spec.reduction_extent);
   const std::size_t copies =
-      spec.parallel_work &&
-              spec.kase.pos != acc::Position::kSameLineGangWorkerVector
-          ? 2
-          : 1;
+      spec.kase.pos != acc::Position::kSameLineGangWorkerVector ? 2 : 1;
   // Worst-case strategy buffers: a full gang x worker x vector global
   // staging slab plus the finalize kernel's own staging. Overestimating
   // slightly keeps admission decisions a pure function of the spec (no
@@ -497,17 +494,15 @@ void ReductionService::worker_main(std::uint32_t worker_index) {
       } else {
         if (cfg_.shed_target_ns > 0) {
           // CoDel-style: shed only on *sustained* overload — the modeled
-          // wait has stayed above target for a full interval — and then
-          // one youngest-arrival job per dispatch, so a transient burst
-          // rides the queue while a standing one drains newest-first.
-          const std::uint64_t interval = cfg_.shed_interval_ns > 0
-                                             ? cfg_.shed_interval_ns
-                                             : cfg_.shed_target_ns;
+          // wait has stayed above target for an interval as long as the
+          // target — and then one youngest-arrival job per dispatch, so a
+          // transient burst rides the queue while a standing one drains
+          // newest-first.
           if (wait_ns <= cfg_.shed_target_ns) {
             shed_first_above_ns_ = 0;
           } else if (shed_first_above_ns_ == 0) {
             shed_first_above_ns_ = start;
-          } else if (start - shed_first_above_ns_ >= interval) {
+          } else if (start - shed_first_above_ns_ >= cfg_.shed_target_ns) {
             // Victim: the youngest virtual arrival still queued — the back
             // of the tenant queue holding the highest job id.
             Tenant* vt = nullptr;

@@ -74,12 +74,10 @@ struct ServiceConfig {
   /// job's virtual finish.
   std::uint64_t breaker_cooldown_ns = 1'000'000;
   /// CoDel-style overload shedding: when the modeled queue wait (dispatch
-  /// clock) stays above this target for shed_interval_ns of virtual time,
-  /// each further dispatch sheds the youngest-virtual-arrival queued job
-  /// as kShed. 0 = shedding off.
+  /// clock) stays above this target for as long again in virtual time (the
+  /// CoDel interval is the target), each further dispatch sheds the
+  /// youngest-virtual-arrival queued job as kShed. 0 = shedding off.
   std::uint64_t shed_target_ns = 0;
-  /// Sustained-overload window before shedding engages; 0 = shed_target_ns.
-  std::uint64_t shed_interval_ns = 0;
   /// Per-tenant retry token bucket: tokens per virtual second (dispatch
   /// clock) a tenant may spend on extra guarded attempts beyond each job's
   /// first. 0 = budget off (attempts bounded only by the job's ladder).
@@ -167,10 +165,9 @@ public:
 
   /// Telemetry registry (DESIGN.md §14): lifecycle counters plus latency /
   /// occupancy histograms from the virtual service timeline. Always
-  /// collected (the registry is cheap); emission into records is what
-  /// --metrics gates. At a quiescent point (after drain()) the contents
-  /// are a pure function of the submission sequence — bit-identical for
-  /// any worker count and any --sim-threads.
+  /// collected (the registry is cheap). At a quiescent point (after
+  /// drain()) the contents are a pure function of the submission sequence
+  /// — bit-identical for any worker count and any --sim-threads.
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }

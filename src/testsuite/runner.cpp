@@ -1,13 +1,11 @@
 #include "testsuite/runner.hpp"
 
 #include <chrono>
-#include <span>
 #include <sstream>
 #include <utility>
 
 #include "acc/executor.hpp"
 #include "gpusim/error.hpp"
-#include "gpusim/faultinject.hpp"
 #include "reduce/argminmax.hpp"
 #include "reduce/segmented_reduce.hpp"
 #include "testsuite/values.hpp"
@@ -110,71 +108,45 @@ struct CellBuffers {
   gpusim::DeviceBuffer<T> input;
   gpusim::DeviceBuffer<T> temp;
   gpusim::DeviceBuffer<T> result;
+
+  /// Allocate, in this order, the buffers no earlier attempt got (an
+  /// injected alloc_fail stops the sequence at any of them), and fill the
+  /// input once it exists. A cell's input is never empty.
+  void allocate_missing(gpusim::Device& dev, const CellShape& shape) {
+    if (input.size() == 0) {
+      input = dev.alloc<T>(shape.volume, "input");
+      const auto host = input.host_span();
+      for (std::size_t i = 0; i < shape.volume; ++i) {
+        host[i] = testsuite_value<T>(shape.fill_op, i);
+      }
+    }
+    if (shape.copy_work && temp.size() == 0) {
+      temp = dev.alloc<T>(shape.volume, "temp");
+    }
+    if (shape.out_slots > 0 && result.size() == 0) {
+      result = dev.alloc<T>(shape.out_slots, "result");
+    }
+  }
 };
 
-/// One cell, any kind. The prologue builds the Device, arms injected
-/// allocation failures on it, allocates and fills the buffers; the kind's
-/// `guarded(dev, bufs, policy)` runs acc::execute_guarded; the epilogue
-/// folds that GuardedResult into the CaseOutcome, fingerprinting a
-/// verified result with `hash(result, bufs)`.
-template <typename T, typename Guarded, typename Hash>
+/// One cell, any kind, on the one guarded ladder (acc::execute_guarded),
+/// starting from `config` and `sc`. Each attempt first allocates the
+/// cell's buffers no earlier attempt got, so an injected alloc_fail on them
+/// is a failed attempt like any other, then runs `launch(dev, bufs, cfg,
+/// sc)` at the ladder's current geometry and strategy config. `check(bufs,
+/// result, why)` is the host reference the ladder verifies every result
+/// against, and `hash(bufs, result)` fingerprints the verified one.
+template <typename T, typename Launch, typename Check, typename Hash>
 CaseOutcome run_cell(const RunnerOptions& opts, const CellShape& shape,
-                     Guarded&& guarded, Hash&& hash) {
-  CaseOutcome out;
+                     const acc::LaunchConfig& config,
+                     const reduce::StrategyConfig& sc, Launch&& launch,
+                     Check&& check, Hash&& hash) {
+  using Clock = std::chrono::steady_clock;
   gpusim::Device dev;
-  // Arm injected allocation failures on the runner's own buffers too; each
-  // arm is one-shot (device.hpp), so the retry loop below recovers.
-  const std::string fault_spec =
-      !opts.faults.empty() ? opts.faults : gpusim::faults_env_default();
-  if (!fault_spec.empty()) {
-    const auto fplan = gpusim::FaultPlan::parse(fault_spec);
-    if (fplan.has_alloc_faults()) dev.arm_alloc_faults(fplan);
-  }
-
-  // The runner's own allocations, behind the same retry policy as the
-  // kernels: an injected alloc_fail arm is one-shot, so re-running the
-  // block recovers (the failed attempt is recorded like any other).
   CellBuffers<T> bufs;
-  int alloc_failures = 0;
-  std::vector<gpusim::FaultEvent> alloc_events;
-  for (;;) {
-    try {
-      bufs.input = dev.alloc<T>(shape.volume, "input");
-      if (shape.copy_work) bufs.temp = dev.alloc<T>(shape.volume, "temp");
-      if (shape.out_slots > 0) {
-        bufs.result = dev.alloc<T>(shape.out_slots, "result");
-      }
-      break;
-    } catch (const gpusim::LaunchError& e) {
-      ++alloc_failures;
-      out.events.push_back("attempt " + std::to_string(alloc_failures) +
-                           " failed: " + to_string(e.info()) +
-                           " -> retry allocation");
-      // An injected alloc_fail fires outside any launch, so the campaign
-      // accounting gets its FaultEvent synthesized here.
-      if (e.info().injected) {
-        gpusim::FaultEvent fe;
-        fe.kind = gpusim::FaultKind::kAllocFail;
-        fe.stage = e.info().stage;
-        fe.detail = e.info().message;
-        alloc_events.push_back(std::move(fe));
-      }
-      if (alloc_failures > opts.max_retries) {
-        out.attempts = alloc_failures;
-        out.stats.error = e.info();
-        out.stats.faults_armed = !fault_spec.empty();
-        out.stats.fault_events = std::move(alloc_events);
-        out.detail = to_string(e.info());
-        return out;
-      }
-    }
-  }
-  {
-    auto host = bufs.input.host_span();
-    for (std::size_t i = 0; i < shape.volume; ++i) {
-      host[i] = testsuite_value<T>(shape.fill_op, i);
-    }
-  }
+  // Allocation and fill stay out of wall_ms; an attempt whose allocation
+  // failed is charged in full.
+  Clock::duration setup{};
 
   acc::GuardPolicy policy;
   policy.max_retries = opts.max_retries;
@@ -182,41 +154,45 @@ CaseOutcome run_cell(const RunnerOptions& opts, const CellShape& shape,
   policy.max_degrade_rungs = opts.max_degrade_rungs;
   policy.max_total_attempts = opts.max_total_attempts;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  auto run = guarded(dev, bufs, policy);
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
+  auto run = acc::execute_guarded(
+      dev, config, sc,
+      [&](const acc::LaunchConfig& cfg, const reduce::StrategyConfig& s) {
+        const auto a0 = Clock::now();
+        bufs.allocate_missing(dev, shape);
+        setup += Clock::now() - a0;
+        return launch(dev, bufs, cfg, s);
+      },
+      policy,
+      [&](const auto& res, std::string& why) { return check(bufs, res, why); });
+  const auto t1 = Clock::now();
 
-  out.attempts = alloc_failures + run.attempts;
-  out.recovered = run.ok && out.attempts > 1;
+  CaseOutcome out;
+  out.attempts = run.attempts;
+  out.recovered = run.recovered;
   out.degraded = run.degraded;
   for (const acc::DegradeEvent& ev : run.events) {
-    out.events.push_back("attempt " + std::to_string(alloc_failures +
-                                                     ev.attempt) +
-                         " (rung " + std::to_string(ev.rung) + ", failure " +
+    out.events.push_back("attempt " + std::to_string(ev.attempt) + " (rung " +
+                         std::to_string(ev.rung) + ", failure " +
                          std::to_string(ev.failure_on_rung) +
                          ") failed: " + ev.reason + " -> " + ev.action);
   }
   out.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+      std::chrono::duration<double, std::milli>(t1 - t0 - setup).count();
   if (run.ok) {
     out.stats = run.result.stats;
     out.kernels = run.result.kernels;
     out.device_ms = run.result.stats.device_time_ns / 1e6;
     out.verified = true;
-    out.result_hash = hash(run.result, bufs);
+    out.result_hash = hash(bufs, run.result);
   } else {
     out.stats.error = run.error;
     out.detail = to_string(run.error);
   }
   // The aggregate over every attempt, not just the last launch: failed
-  // attempts' fired faults (and the runner's own injected allocation
-  // failures above) belong in the record too.
-  out.stats.faults_armed = run.faults_armed || !alloc_events.empty();
-  for (gpusim::FaultEvent& fe : run.fault_events) {
-    if (alloc_events.size() >= gpusim::BlockFaults::kMaxEventsPerLaunch) break;
-    alloc_events.push_back(std::move(fe));
-  }
-  out.stats.fault_events = std::move(alloc_events);
+  // attempts' fired faults belong in the record too.
+  out.stats.faults_armed = run.faults_armed;
+  out.stats.fault_events = std::move(run.fault_events);
   return out;
 }
 
@@ -248,8 +224,9 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
       opts.parallel_work && spec.pos != Position::kSameLineGangWorkerVector;
   const auto [nk, nj, ni] = geo.dims;
 
-  const auto guarded = [&](gpusim::Device& dev, const CellBuffers<T>& bufs,
-                           const acc::GuardPolicy& policy) {
+  const auto launch = [&](gpusim::Device& dev, const CellBuffers<T>& bufs,
+                          const acc::LaunchConfig& cfg,
+                          const reduce::StrategyConfig& sc) {
     auto in_view = bufs.input.view();
     gpusim::GlobalView<T> temp_view{};
     if (copy_work) temp_view = bufs.temp.view();
@@ -306,19 +283,26 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
         ctx.st(out_view, static_cast<std::size_t>(k), r);
       };
     }
+    plan.launch = cfg;
+    plan.strategy = sc;
+    return acc::execute<T>(dev, plan, b);
+  };
 
-    // ---- Verification against the sequential CPU fold --------------
-    // Runs as execute_guarded's numeric guard after every attempt: a
-    // mismatch (e.g. an injected bitflip's silent corruption) fails the
-    // attempt and drives the retry/degradation ladder instead of merely
-    // flagging the cell. float references accumulate in double: past
-    // ~2^24 elements a float running sum rounds away every addend, so the
-    // *reference* would be the wrong side of the comparison (the device's
-    // tree is far more accurate). Bitwise operators never reach here with
-    // floating T.
-    using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
-    const acc::RuntimeOp<Acc> rop_acc{spec.op};
-    const acc::RuntimeOp<T> rop{spec.op};
+  // ---- Verification against the sequential CPU fold --------------
+  // Runs as execute_guarded's numeric guard after every attempt: a
+  // mismatch (e.g. an injected bitflip's silent corruption) fails the
+  // attempt and drives the retry/degradation ladder instead of merely
+  // flagging the cell. float references accumulate in double: past
+  // ~2^24 elements a float running sum rounds away every addend, so the
+  // *reference* would be the wrong side of the comparison (the device's
+  // tree is far more accurate). Bitwise operators never reach here with
+  // floating T.
+  using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
+  const acc::RuntimeOp<Acc> rop_acc{spec.op};
+  const acc::RuntimeOp<T> rop{spec.op};
+  const auto check = [&](const CellBuffers<T>& bufs,
+                         const reduce::ReduceResult<T>& res,
+                         std::string& why) {
     const auto host_in = bufs.input.host_span();
     const auto host_out = bufs.result.host_span();
     auto fold_strided = [&](std::size_t base, std::size_t stride,
@@ -330,85 +314,103 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
       }
       return static_cast<T>(acc_v);
     };
-
-    auto verify = [&](const reduce::ReduceResult<T>& res,
-                      std::string& why) -> bool {
-      bool ok = true;
-      std::ostringstream detail;
-      auto check = [&](T expect, T actual, const char* what) {
-        if (!reduction_result_matches(expect, actual,
-                                      static_cast<std::uint64_t>(
-                                          geo.contrib_count))) {
-          ok = false;
-          detail << what << ": expected " << expect << " got " << actual
-                 << "; ";
+    // A fused chain (nest_for_chain: i_sum -> j_sum -> sum) folds stage by
+    // stage, innermost first, each stage with its own operator.
+    auto fold_chain = [&] {
+      const acc::RuntimeOp<Acc> i_op{plan.chain.at(0).op};
+      const acc::RuntimeOp<Acc> j_op{plan.chain.at(1).op};
+      const acc::RuntimeOp<Acc> k_op{plan.chain.at(2).op};
+      Acc sum = k_op.identity();
+      std::size_t idx = 0;
+      for (std::int64_t k = 0; k < nk; ++k) {
+        Acc j_sum = j_op.identity();
+        for (std::int64_t j = 0; j < nj; ++j) {
+          Acc i_sum = i_op.identity();
+          for (std::int64_t i = 0; i < ni; ++i) {
+            i_sum = i_op.apply(i_sum, static_cast<Acc>(host_in[idx++]));
+          }
+          j_sum = j_op.apply(j_sum, i_sum);
         }
-      };
-
-      switch (spec.pos) {
-        case Position::kGang:
-          check(fold_strided(0, static_cast<std::size_t>(nj * ni),
-                             static_cast<std::size_t>(nk)),
-                res.scalar.value_or(rop.identity()), "scalar");
-          break;
-        case Position::kGangWorker:
-          check(fold_strided(0, static_cast<std::size_t>(ni),
-                             static_cast<std::size_t>(nk * nj)),
-                res.scalar.value_or(rop.identity()), "scalar");
-          break;
-        case Position::kGangWorkerVector:
-        case Position::kSameLineGangWorkerVector:
-          check(fold_strided(0, 1, volume),
-                res.scalar.value_or(rop.identity()), "scalar");
-          break;
-        case Position::kWorker:
-          for (std::int64_t k = 0; k < nk; ++k) {
-            check(fold_strided(static_cast<std::size_t>(k * nj * ni),
-                               static_cast<std::size_t>(ni),
-                               static_cast<std::size_t>(nj)),
-                  host_out[static_cast<std::size_t>(k)], "worker instance");
-          }
-          break;
-        case Position::kVector:
-          for (std::int64_t k = 0; k < nk; ++k) {
-            for (std::int64_t j = 0; j < nj; ++j) {
-              check(fold_strided(static_cast<std::size_t>((k * nj + j) * ni),
-                                 1, static_cast<std::size_t>(ni)),
-                    host_out[static_cast<std::size_t>(k * nj + j)],
-                    "vector instance");
-            }
-          }
-          break;
-        case Position::kWorkerVector:
-          for (std::int64_t k = 0; k < nk; ++k) {
-            check(fold_strided(static_cast<std::size_t>(k * nj * ni), 1,
-                               static_cast<std::size_t>(nj * ni)),
-                  host_out[static_cast<std::size_t>(k)],
-                  "worker-vector instance");
-          }
-          break;
+        sum = k_op.apply(sum, j_sum);
       }
-
-      // Spot-check the parallel copy actually happened.
-      if (copy_work && volume > 0) {
-        const auto host_temp = bufs.temp.host_span();
-        for (std::size_t s = 0; s < 997 && s < volume; ++s) {
-          const std::size_t idx = (s * 104729) % volume;
-          if (host_temp[idx] != host_in[idx]) {
-            ok = false;
-            detail << "parallel copy missing at " << idx << "; ";
-            break;
-          }
-        }
-      }
-      why = detail.str();
-      return ok;
+      return static_cast<T>(sum);
     };
-    return acc::execute_guarded<T>(dev, plan, b, policy, verify);
+
+    bool ok = true;
+    std::ostringstream detail;
+    auto expect = [&](T want, T actual, const char* what) {
+      if (!reduction_result_matches(want, actual,
+                                    static_cast<std::uint64_t>(
+                                        geo.contrib_count))) {
+        ok = false;
+        detail << what << ": expected " << want << " got " << actual << "; ";
+      }
+    };
+
+    switch (spec.pos) {
+      case Position::kGang:
+        expect(fold_strided(0, static_cast<std::size_t>(nj * ni),
+                            static_cast<std::size_t>(nk)),
+               res.scalar.value_or(rop.identity()), "scalar");
+        break;
+      case Position::kGangWorker:
+        expect(fold_strided(0, static_cast<std::size_t>(ni),
+                            static_cast<std::size_t>(nk * nj)),
+               res.scalar.value_or(rop.identity()), "scalar");
+        break;
+      case Position::kGangWorkerVector:
+      case Position::kSameLineGangWorkerVector:
+        expect(plan.kind == acc::StrategyKind::kFusedCascade
+                   ? fold_chain()
+                   : fold_strided(0, 1, volume),
+               res.scalar.value_or(rop.identity()), "scalar");
+        break;
+      case Position::kWorker:
+        for (std::int64_t k = 0; k < nk; ++k) {
+          expect(fold_strided(static_cast<std::size_t>(k * nj * ni),
+                              static_cast<std::size_t>(ni),
+                              static_cast<std::size_t>(nj)),
+                 host_out[static_cast<std::size_t>(k)], "worker instance");
+        }
+        break;
+      case Position::kVector:
+        for (std::int64_t k = 0; k < nk; ++k) {
+          for (std::int64_t j = 0; j < nj; ++j) {
+            expect(fold_strided(static_cast<std::size_t>((k * nj + j) * ni),
+                                1, static_cast<std::size_t>(ni)),
+                   host_out[static_cast<std::size_t>(k * nj + j)],
+                   "vector instance");
+          }
+        }
+        break;
+      case Position::kWorkerVector:
+        for (std::int64_t k = 0; k < nk; ++k) {
+          expect(fold_strided(static_cast<std::size_t>(k * nj * ni), 1,
+                              static_cast<std::size_t>(nj * ni)),
+                 host_out[static_cast<std::size_t>(k)],
+                 "worker-vector instance");
+        }
+        break;
+    }
+
+    // Spot-check the parallel copy actually happened.
+    if (copy_work && volume > 0) {
+      const auto host_temp = bufs.temp.host_span();
+      for (std::size_t s = 0; s < 997 && s < volume; ++s) {
+        const std::size_t idx = (s * 104729) % volume;
+        if (host_temp[idx] != host_in[idx]) {
+          ok = false;
+          detail << "parallel copy missing at " << idx << "; ";
+          break;
+        }
+      }
+    }
+    why = detail.str();
+    return ok;
   };
 
-  const auto hash = [&](const reduce::ReduceResult<T>& res,
-                        const CellBuffers<T>& bufs) {
+  const auto hash = [&](const CellBuffers<T>& bufs,
+                        const reduce::ReduceResult<T>& res) {
     std::uint64_t h = kFnvBasis;
     if (res.scalar.has_value()) {
       const T v = *res.scalar;
@@ -421,38 +423,7 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
     return h;
   };
   return run_cell<T>(opts, {volume, spec.op, copy_work, geo.out_slots},
-                     guarded, hash);
-}
-
-/// An argmin/argmax or segmented cell on the shared pipeline and ladder.
-/// The kind supplies three things: `launch(dev, input, cfg, sc)` runs one
-/// attempt at the ladder's current geometry and strategy config,
-/// `check(host_input, result, why)` is its host reference, and
-/// `hash(result)` fingerprints a verified result.
-template <typename T, typename Launch, typename Check, typename Hash>
-CaseOutcome run_ext_cell(const RunnerOptions& opts,
-                         const reduce::StrategyConfig& sc,
-                         acc::ReductionOp fill_op, Launch&& launch,
-                         Check&& check, Hash&& hash) {
-  const auto guarded = [&](gpusim::Device& dev, const CellBuffers<T>& bufs,
-                           const acc::GuardPolicy& policy) {
-    const gpusim::GlobalView<T> input = bufs.input.view();
-    const std::span<const T> host_input = bufs.input.host_span();
-    return acc::execute_guarded(
-        dev, opts.config, sc,
-        [&](const acc::LaunchConfig& cfg, const reduce::StrategyConfig& s) {
-          return launch(dev, input, cfg, s);
-        },
-        policy,
-        [&](const auto& res, std::string& why) {
-          return check(host_input, res, why);
-        });
-  };
-  return run_cell<T>(
-      opts, {static_cast<std::size_t>(opts.reduction_extent), fill_op},
-      guarded, [&](const auto& res, const CellBuffers<T>&) {
-        return hash(res);
-      });
+                     plan.launch, plan.strategy, launch, check, hash);
 }
 
 /// Extended-kind cells on the same pipeline and the same ladder.
@@ -473,6 +444,8 @@ CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
     return run_typed<T>(id, scalar, opts, &plan, /*apply_robustness=*/false);
   }
 
+  // Argmin/argmax and segmented cells supply their own launch, host
+  // reference and hash over the one input buffer.
   reduce::StrategyConfig sc = acc::profile(id).strategy;
   apply_sim_options(sc, opts);
   const std::int64_t extent = opts.reduction_extent;
@@ -485,23 +458,24 @@ CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
 
   if (spec.kind == ExtKind::kSegmented) {
     static constexpr std::size_t kSegments = 64;
-    return run_ext_cell<T>(
-        opts, sc, acc::ReductionOp::kSum,
-        [&](gpusim::Device& dev, gpusim::GlobalView<T> input,
+    return run_cell<T>(
+        opts, {volume, acc::ReductionOp::kSum}, opts.config, sc,
+        [&](gpusim::Device& dev, const CellBuffers<T>& bufs,
             const acc::LaunchConfig& cfg, const reduce::StrategyConfig& s) {
           return reduce::run_segmented_reduction<T>(
               dev, extent, kSegments, cfg, acc::ReductionOp::kSum,
               [](std::int64_t idx) {
                 return static_cast<std::size_t>(idx) % kSegments;
               },
-              load(input), s);
+              load(bufs.input.view()), s);
         },
         // Per-segment sequential reference (float refs in double, as the
         // scalar grid does).
-        [&](std::span<const T> host_in, const reduce::ArrayReduceResult<T>& res,
+        [&](const CellBuffers<T>& bufs, const reduce::ArrayReduceResult<T>& res,
             std::string& why) {
           using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
           const acc::RuntimeOp<Acc> rop{acc::ReductionOp::kSum};
+          const auto host_in = bufs.input.host_span();
           std::ostringstream detail;
           for (std::size_t s = 0; s < kSegments; ++s) {
             Acc ref = rop.identity();
@@ -518,25 +492,28 @@ CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
           why = detail.str();
           return why.empty();
         },
-        [](const reduce::ArrayReduceResult<T>& res) {
+        [](const CellBuffers<T>&, const reduce::ArrayReduceResult<T>& res) {
           return fnv1a(kFnvBasis, res.values.data(),
                        res.values.size() * sizeof(T));
         });
   }
 
   const bool want_min = spec.kind == ExtKind::kArgMin;
-  return run_ext_cell<T>(
-      opts, sc, want_min ? acc::ReductionOp::kMin : acc::ReductionOp::kMax,
-      [&](gpusim::Device& dev, gpusim::GlobalView<T> input,
+  return run_cell<T>(
+      opts,
+      {volume, want_min ? acc::ReductionOp::kMin : acc::ReductionOp::kMax},
+      opts.config, sc,
+      [&](gpusim::Device& dev, const CellBuffers<T>& bufs,
           const acc::LaunchConfig& cfg, const reduce::StrategyConfig& s) {
         return reduce::run_arg_reduction<T>(dev, extent, cfg, want_min,
-                                            load(input), s);
+                                            load(bufs.input.view()), s);
       },
       // The loc fold is value-comparison only (no rounding), so the device
       // pair must match the sequential one exactly.
-      [&](std::span<const T> host_in,
+      [&](const CellBuffers<T>& bufs,
           const reduce::PayloadReduceResult<acc::ValueIndex<T>>& res,
           std::string& why) {
+        const auto host_in = bufs.input.host_span();
         acc::ValueIndex<T> ref = want_min ? acc::ArgMinOp<T>::identity()
                                           : acc::ArgMaxOp<T>::identity();
         for (std::size_t i = 0; i < volume; ++i) {
@@ -553,7 +530,8 @@ CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
         why = detail.str();
         return false;
       },
-      [](const reduce::PayloadReduceResult<acc::ValueIndex<T>>& res) {
+      [](const CellBuffers<T>&,
+         const reduce::PayloadReduceResult<acc::ValueIndex<T>>& res) {
         const std::uint64_t h =
             fnv1a(kFnvBasis, &res.value.value, sizeof res.value.value);
         return fnv1a(h, &res.value.index, sizeof res.value.index);

@@ -15,6 +15,7 @@
 #include "acc/planner.hpp"
 #include "acc/profiles.hpp"
 #include "gpusim/cost_model.hpp"
+#include "gpusim/faultinject.hpp"
 #include "gpusim/pool.hpp"
 #include "testsuite/cases.hpp"
 
@@ -37,9 +38,10 @@ struct RunnerOptions {
   /// (gpusim/racecheck.hpp); conflicts land in CaseOutcome::stats.
   bool racecheck = false;
   /// Fault-injection spec (gpusim/faultinject.hpp grammar) armed on every
-  /// planned strategy and on the runner's own device allocations; "" = the
-  /// ACCRED_FAULTS env default.
-  std::string faults = {};
+  /// attempt of the guarded ladder, the runner's own device allocations
+  /// included; "" arms nothing. Starts as the ACCRED_FAULTS environment
+  /// variable.
+  std::string faults = gpusim::faults_env_default();
   /// Guarded execution: same-configuration re-runs after a failed attempt
   /// before the ladder degrades the plan (acc::execute_guarded).
   int max_retries = 1;
@@ -69,11 +71,13 @@ struct CaseOutcome {
   acc::Robustness status = acc::Robustness::kOk;  ///< modeled F / CE cells
   bool verified = false;  ///< result matched the CPU fold (when status=Ok)
   double device_ms = 0;   ///< modeled kernel time
-  double wall_ms = 0;     ///< host simulation time (informational)
+  /// Host time of the guarded run, the allocation and fill of the cell's
+  /// buffers excluded (informational).
+  double wall_ms = 0;
   gpusim::LaunchStats stats;
   int kernels = 0;
   std::string detail;  ///< mismatch / error diagnostics
-  int attempts = 1;    ///< executions the guarded run needed (incl. allocs)
+  int attempts = 1;    ///< attempts the guarded ladder made
   bool recovered = false;  ///< verified after at least one failed attempt
   bool degraded = false;   ///< verified on a degraded plan
   /// Rendered degradation history ("attempt N failed (code): … -> action"),

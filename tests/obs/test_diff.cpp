@@ -253,8 +253,8 @@ TEST(Diff, TelemetryNameSetsMustMatch) {
 }
 
 TEST(Diff, TelemetryOnOneSideOnlyIsNotCompared) {
-  // A metrics-off run carries no telemetry; it still gates against a
-  // telemetry-carrying baseline, and the other way round.
+  // An entry without telemetry still gates against a telemetry-carrying
+  // baseline, and the other way round.
   const Json with = telemetry_record({"service/completed"});
   RunRecord off("gate_bench");
   off.entry("row").metric("device_ms", 2.0);

@@ -89,8 +89,8 @@ TEST(FaultIsolation, StickyCorruptionDegradesOnlyTheVictim) {
 }
 
 TEST(FaultIsolation, InjectedAllocFailureIsPerDevice) {
-  // alloc_fail arms on the victim job's own Device; the runner's retry
-  // recovers it, and no other job ever sees the arm.
+  // alloc_fail arms on the victim job's own Device; the guarded ladder's
+  // retry recovers it, and no other job ever sees the arm.
   ServiceConfig cfg;
   cfg.workers = 2;
   ReductionService svc(cfg);

@@ -260,7 +260,6 @@ TEST(Shedding, SustainedOverloadShedsYoungestFirst) {
   ServiceConfig cfg;
   cfg.start_paused = true;
   cfg.shed_target_ns = 1000;
-  cfg.shed_interval_ns = 1000;
   ReductionService svc(cfg);
   std::vector<std::future<JobResult>> futs;
   // Small jobs drag the arrival-pacing mean down; the oversized burst

@@ -53,6 +53,21 @@ TEST(Service, RepeatTrafficIsAccountedExactly) {
   EXPECT_EQ(s.failed + s.rejected_queue + s.rejected_memory, 0u);
 }
 
+TEST(Service, MixedOperatorChainVerifiesAgainstItsOwnStages) {
+  // One fused kernel folds i with sum, j with max and k with min; the
+  // reference folds the same stages in the same order, not one flat min.
+  ReductionService svc;
+  JobSpec job = make_job("t", acc::Position::kGangWorkerVector, 256);
+  job.kase.op = acc::ReductionOp::kMin;
+  job.config = acc::LaunchConfig{24, 4, 64};
+  job.chain_ops = {acc::ReductionOp::kSum, acc::ReductionOp::kMax,
+                   acc::ReductionOp::kMin};
+  const JobResult r = svc.submit(std::move(job)).get();
+  EXPECT_EQ(r.status, JobStatus::kOk) << r.outcome.detail;
+  EXPECT_TRUE(r.outcome.verified);
+  EXPECT_EQ(r.outcome.attempts, 1);
+}
+
 TEST(Service, DrainWaitsForEveryAdmittedJob) {
   ServiceConfig cfg;
   cfg.workers = 2;

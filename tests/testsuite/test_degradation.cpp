@@ -1,8 +1,9 @@
 // Tests of the graceful-degradation executor (acc/executor.hpp) and the
 // testsuite runner's recovery plumbing: retry, non-sticky fault stripping,
 // the degradation ladder (all-barriers tree, then geometry shrink), the
-// runner's allocation-retry loop, and the campaign accounting that must
-// survive every one of those paths — for Table 2 and extended-kind cells.
+// runner's buffer allocations inside the ladder's attempts, and the
+// campaign accounting that must survive every one of those paths — for
+// Table 2 and extended-kind cells.
 #include "acc/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -271,8 +272,37 @@ TEST(RunnerDegradation, InjectedAllocFailureIsRetriedAndRecorded) {
   EXPECT_EQ(out.stats.fault_events[0].kind, FaultKind::kAllocFail);
   EXPECT_EQ(out.stats.fault_events[0].stage, "input");
   ASSERT_FALSE(out.events.empty());
-  EXPECT_NE(out.events[0].find("retry allocation"), std::string::npos)
+  EXPECT_NE(out.events[0].find("strip non-sticky faults and retry"),
+            std::string::npos)
       << out.events[0];
+}
+
+TEST(RunnerDegradation, StickyInputAllocFailureWalksTheLadder) {
+  // The runner's own allocations get no retry of their own: a sticky
+  // alloc_fail on the input fails every attempt the ladder makes.
+  testsuite::RunnerOptions o = small_opts();
+  o.faults = "alloc_fail@input:sticky";
+  o.degrade = false;
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out =
+      runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
+  EXPECT_FALSE(out.verified);
+  EXPECT_EQ(out.attempts, 2);  // the original try + 1 retry
+  EXPECT_EQ(out.stats.error.code, LaunchErrorCode::kOom);
+}
+
+TEST(RunnerDegradation, AllocFailureFiresOnce) {
+  // An unlabeled alloc_fail matches the cell's first allocation; once
+  // stripped, no later allocation of the cell or its strategy sees it.
+  testsuite::RunnerOptions o = small_opts();
+  o.faults = "alloc_fail";
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out =
+      runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
+  EXPECT_TRUE(out.verified) << out.detail;
+  EXPECT_EQ(out.attempts, 2);
+  ASSERT_EQ(out.stats.fault_events.size(), 1u);
+  EXPECT_EQ(out.stats.fault_events[0].kind, FaultKind::kAllocFail);
 }
 
 TEST(RunnerDegradation, RunnerEventsRenderRungAndOrdinal) {

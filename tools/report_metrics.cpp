@@ -70,8 +70,8 @@ Telemetry telemetry_of(const obs::Json& record) {
     return t;
   }
   throw std::runtime_error(
-      "no telemetry section (run the bench with --metrics or "
-      "ACCRED_METRICS=1)");
+      "no telemetry section (service_throughput and service_chaos records "
+      "carry one)");
 }
 
 struct Slo {
