@@ -277,5 +277,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "cascade_fusion", {}, run);
+  return util::tool_main(argc, argv, "cascade_fusion", {}, {"r"}, run);
 }

@@ -70,5 +70,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "fig12a_heat", {}, run);
+  return util::tool_main(argc, argv, "fig12a_heat",
+                         {}, {"iters", "sizes", "tol"}, run);
 }

@@ -106,5 +106,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "fig12b_matmul", {"verify"}, run);
+  return util::tool_main(argc, argv, "fig12b_matmul",
+                         {"verify"}, {"sizes"}, run);
 }

@@ -61,5 +61,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "fig12c_montecarlo", {"full"}, run);
+  return util::tool_main(argc, argv, "fig12c_montecarlo",
+                         {"full"}, {"samples"}, run);
 }

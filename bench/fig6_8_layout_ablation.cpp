@@ -114,9 +114,8 @@ void emit(util::TextTable& t, obs::RunRecord& rec, const std::string& key,
 
 int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t r = cli.get_int("r", 1 << 16);
-  const gpusim::SimOptions defaults;
-  const bool profile = cli.get_bool("profile", defaults.profile);
-  const bool racecheck = cli.get_bool("racecheck", defaults.racecheck);
+  const bool profile = cli.get_bool("profile");
+  const bool racecheck = cli.get_bool("racecheck");
   record.meta("reduction_extent", r);
   if (profile) record.meta("profile", std::int64_t{1});
   if (racecheck) record.meta("racecheck", std::int64_t{1});
@@ -185,5 +184,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 
 int main(int argc, char** argv) {
   return util::tool_main(argc, argv, "fig6_8_layout_ablation",
-                         {"profile", "racecheck"}, run);
+                         {"profile", "racecheck"}, {"r"}, run);
 }

@@ -65,7 +65,7 @@ gpusim::LaunchStats run_tree_bench(std::uint32_t block_threads,
 
 int run(const util::Cli& cli, obs::RunRecord& record) {
   const std::int64_t instances = cli.get_int("instances", 512);
-  const bool profile = cli.get_bool("profile", gpusim::SimOptions{}.profile);
+  const bool profile = cli.get_bool("profile");
   record.meta("instances", instances);
   if (profile) record.meta("profile", std::int64_t{1});
 
@@ -124,5 +124,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "fig7_tree_variants", {"profile"}, run);
+  return util::tool_main(argc, argv, "fig7_tree_variants",
+                         {"profile"}, {"instances"}, run);
 }

@@ -71,5 +71,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "finalize_strategies", {}, run);
+  return util::tool_main(argc, argv, "finalize_strategies",
+                         {}, {"counts"}, run);
 }

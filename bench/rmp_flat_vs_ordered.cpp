@@ -82,5 +82,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "rmp_flat_vs_ordered", {}, run);
+  return util::tool_main(argc, argv, "rmp_flat_vs_ordered",
+                         {}, {"r", "nj"}, run);
 }

@@ -391,5 +391,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "service_chaos", {}, run);
+  return util::tool_main(argc, argv, "service_chaos",
+                         {}, {"r", "workers"}, run);
 }

@@ -451,5 +451,8 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "service_throughput", {}, run);
+  return util::tool_main(argc, argv, "service_throughput", {},
+                         {"jobs", "r", "workers", "rate", "seed", "tenants",
+                          "window", "queue-capacity", "faults"},
+                         run);
 }

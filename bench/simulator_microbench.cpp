@@ -171,35 +171,16 @@ private:
   obs::RunRecord& rec_;
 };
 
-// The raw command line (set by main), for google-benchmark's own flags.
-int g_argc = 0;
-char** g_argv = nullptr;
+// google-benchmark's own flags (`--benchmark_*`, always in `--flag=value`
+// form) and argv[0]; main hands every other argument to tool_main.
+std::vector<char*> g_bench_args;
 
 int run(const util::Cli&, obs::RunRecord& record) {
-  // google-benchmark rejects flags it does not recognize, so strip
-  // tool_main's (both `--flag value` and `--flag=value` spellings) before
-  // handing over.
-  const int argc = g_argc;
-  char** const argv = g_argv;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--json" || a == "--trace" || a == "--sim-threads") {
-      if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        ++i;
-      }
-      continue;
-    }
-    if (a.starts_with("--json=") || a.starts_with("--trace=") ||
-        a.starts_with("--sim-threads=")) {
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
+  // google-benchmark rejects the `--benchmark_*` flags it does not know.
+  int bench_argc = static_cast<int>(g_bench_args.size());
+  benchmark::Initialize(&bench_argc, g_bench_args.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc,
+                                             g_bench_args.data())) {
     return 1;
   }
   RecordingReporter reporter(record);
@@ -211,7 +192,12 @@ int run(const util::Cli&, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_argc = argc;
-  g_argv = argv;
-  return util::tool_main(argc, argv, "simulator_microbench", {}, run);
+  std::vector<char*> own = {argv[0]};
+  g_bench_args = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    const bool gbench = std::string_view(argv[i]).starts_with("--benchmark_");
+    (gbench ? g_bench_args : own).push_back(argv[i]);
+  }
+  return util::tool_main(static_cast<int>(own.size()), own.data(),
+                         "simulator_microbench", {}, {}, run);
 }

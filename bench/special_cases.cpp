@@ -133,5 +133,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "special_cases", {}, run);
+  return util::tool_main(argc, argv, "special_cases", {}, {"r"}, run);
 }

@@ -9,35 +9,33 @@
 //   --fig11      also print the Fig. 11 per-position series
 //   --no-copy    drop the parallel temp-copy traffic of Fig. 4
 //   --racecheck  run every cell under the dynamic race detector
-//                (gpusim/racecheck.hpp; env: ACCRED_RACECHECK); reports
-//                land in the JSON record for `accred_report race`
+//                (gpusim/racecheck.hpp); reports land in the JSON record
+//                for `accred_report race`
 //   --faults SPEC    arm deterministic fault injection on every cell
-//                    (gpusim/faultinject.hpp grammar; env: ACCRED_FAULTS);
-//                    fired faults land in the record for
-//                    `accred_report fault`. A cell that verified on its
-//                    first attempt although a fault fired re-runs once
-//                    with faults off; equal result hashes record it
-//                    `masked`
+//                    (gpusim/faultinject.hpp grammar); fired faults land
+//                    in the record for `accred_report fault`. A cell that
+//                    verified on its first attempt although a fault fired
+//                    re-runs once with faults off; equal result hashes
+//                    record it `masked`
 //   --max-retries N  same-configuration re-runs after a failed attempt
 //                    before the degradation ladder engages (default 1)
 //   --no-degrade     retry only: never fall back to the all-barriers tree
 //                    or a smaller launch geometry
 //   --error-on-race  escalate racecheck conflicts into a structured
 //                    LaunchError (implies the cell fails unless recovered)
-//   --max-steps N    per-block watchdog barrier-wave budget (0 = default:
-//                    ACCRED_MAX_STEPS env, else the built-in limit)
+//   --max-steps N    per-block watchdog barrier-wave budget (0 = the
+//                    built-in limit)
 //   --emit-cuda DIR  also write the OpenUH-generated CUDA kernel source
 //                    for one representative case per position
-//   --sim-threads N  host worker threads per kernel launch (0 = auto from
-//                    ACCRED_SIM_THREADS / hardware; results are identical
-//                    for every value)
+//   --sim-threads N  host worker threads per kernel launch (0 = the
+//                    hardware's thread count; results are identical for
+//                    every value)
 //   --ext            also run the extended-kind grid (argmin/argmax,
 //                    segmented, fused cascade)
 //   --json FILE      write the structured accred.bench record (one entry
 //                    per Table 2 and extended cell) alongside the text
 //                    table
-//   --trace FILE     export a chrome://tracing event trace (env:
-//                    ACCRED_TRACE)
+//   --trace FILE     export a chrome://tracing event trace
 #include <fstream>
 #include <iostream>
 
@@ -55,9 +53,9 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
   if (cli.get_bool("full")) opts.reduction_extent = 1 << 20;
   opts.parallel_work = !cli.get_bool("no-copy");
   opts.racecheck = cli.get_bool("racecheck");
-  opts.faults = cli.get("faults", opts.faults);
-  opts.max_retries = static_cast<int>(cli.get_int("max-retries", 1));
-  opts.degrade = !cli.get_bool("no-degrade");
+  opts.faults = cli.get("faults", "");
+  opts.guard.max_retries = static_cast<int>(cli.get_int("max-retries", 1));
+  opts.guard.degrade = !cli.get_bool("no-degrade");
   opts.error_on_race = cli.get_bool("error-on-race");
   opts.max_steps = cli.get_uint32("max-steps", 0);
   testsuite::Runner runner(opts);
@@ -176,5 +174,7 @@ int main(int argc, char** argv) {
   return util::tool_main(argc, argv, "table2_testsuite",
                          {"full", "no-copy", "fig11", "racecheck",
                           "no-degrade", "error-on-race", "ext"},
+                         {"r", "grid", "faults", "max-retries", "max-steps",
+                          "emit-cuda"},
                          run);
 }

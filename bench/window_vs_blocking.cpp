@@ -69,5 +69,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "window_vs_blocking", {}, run);
+  return util::tool_main(argc, argv, "window_vs_blocking", {}, {"n"}, run);
 }

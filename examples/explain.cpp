@@ -115,5 +115,6 @@ int run(const util::Cli& cli, obs::RunRecord&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "explain", {"cuda"}, run);
+  return util::tool_main(argc, argv, "explain", {"cuda"},
+                         {"nest", "type", "accum", "use", "compiler"}, run);
 }

@@ -62,5 +62,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "heat_equation", {}, run);
+  return util::tool_main(argc, argv, "heat_equation",
+                         {}, {"n", "iters", "tol"}, run);
 }

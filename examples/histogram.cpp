@@ -58,5 +58,5 @@ int run(const util::Cli& cli, obs::RunRecord&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "histogram", {}, run);
+  return util::tool_main(argc, argv, "histogram", {}, {"n", "bins"}, run);
 }

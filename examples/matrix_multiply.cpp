@@ -53,5 +53,6 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "matrix_multiply", {"no-verify"}, run);
+  return util::tool_main(argc, argv, "matrix_multiply",
+                         {"no-verify"}, {"n"}, run);
 }

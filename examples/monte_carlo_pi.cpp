@@ -51,5 +51,5 @@ int run(const util::Cli& cli, obs::RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "monte_carlo_pi", {}, run);
+  return util::tool_main(argc, argv, "monte_carlo_pi", {}, {"samples"}, run);
 }

@@ -85,5 +85,6 @@ int run(const util::Cli& cli, obs::RunRecord&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "nested_statistics", {}, run);
+  return util::tool_main(argc, argv, "nested_statistics",
+                         {}, {"rows", "samples", "slabs"}, run);
 }

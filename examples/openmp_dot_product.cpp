@@ -62,5 +62,5 @@ int run(const util::Cli& cli, obs::RunRecord&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "openmp_dot_product", {}, run);
+  return util::tool_main(argc, argv, "openmp_dot_product", {}, {"n"}, run);
 }

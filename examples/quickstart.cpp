@@ -75,5 +75,5 @@ int run(const util::Cli& cli, obs::RunRecord&) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return util::tool_main(argc, argv, "quickstart", {}, run);
+  return util::tool_main(argc, argv, "quickstart", {}, {"n"}, run);
 }

@@ -11,6 +11,7 @@
 // geometry — until the run succeeds or the ladder is exhausted.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "acc/guard.hpp"
 #include "acc/planner.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/error.hpp"
@@ -93,25 +95,6 @@ reduce::ReduceResult<T> execute(gpusim::Device& dev, const ExecutionPlan& plan,
   }
   throw std::logic_error("unreachable strategy kind");
 }
-
-/// Retry/fallback policy for execute_guarded().
-struct GuardPolicy {
-  /// Same-configuration re-runs after a failed attempt before the ladder
-  /// degrades the plan.
-  int max_retries = 1;
-  /// Permit the degradation rungs below retries (all-barriers tree, then
-  /// geometry shrink). Off = fail after the retries.
-  bool degrade = true;
-  /// Degradation rungs the ladder may descend when `degrade` is on: -1 =
-  /// unlimited (the full ladder), 0 = none (equivalent to degrade off), N
-  /// = stop after the Nth plan change. Lets a service bound how much work
-  /// one failing job may consume.
-  int max_degrade_rungs = -1;
-  /// Hard cap on total attempts across every rung (0 = unlimited). The
-  /// first attempt always runs; the ladder gives up once the cap is spent.
-  /// This is the hook a per-tenant retry budget debits against.
-  int max_total_attempts = 0;
-};
 
 /// One failed attempt and what the executor did about it.
 struct DegradeEvent {
@@ -279,9 +262,11 @@ GuardedResult<R> execute_guarded(
     // identically anyway). Then the attempt budget: once spent, the ladder
     // may not launch again regardless of remaining rungs. Then the normal
     // ladder, where stripping non-sticky faults is always the first
-    // response to a failure with faults armed: the injector is
-    // deterministic, so an unmodified retry would fail identically.
-    const std::string sticky = faults.sticky_spec();
+    // response to a failure with one armed: the injector is deterministic,
+    // so an unmodified retry would fail identically. The parsed plan
+    // decides, not the spec text: a spec may write its keys in any order.
+    const bool strip = std::ranges::any_of(
+        faults.faults(), [](const gpusim::Fault& f) { return !f.sticky; });
     const auto degrade = [&](const std::string& change) {
       ev.action = "degrade: " + change;
       out.degraded = true;
@@ -296,8 +281,8 @@ GuardedResult<R> execute_guarded(
                out.attempts >= policy.max_total_attempts) {
       ev.action = "attempt budget exhausted: give up";
       give_up = true;
-    } else if (out.attempts == 1 && sticky != spec) {
-      spec = sticky;
+    } else if (out.attempts == 1 && strip) {
+      spec = faults.sticky_spec();
       ev.action = "strip non-sticky faults and retry";
     } else if (failures_on_rung <= policy.max_retries) {
       ev.action = "retry";

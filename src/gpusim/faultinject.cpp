@@ -298,12 +298,4 @@ bool BlockFaults::skip_barrier(std::uint32_t tid, std::uint16_t stage,
   return skip;
 }
 
-const std::string& faults_env_default() {
-  static const std::string parsed = [] {
-    const char* e = std::getenv("ACCRED_FAULTS");
-    return e != nullptr ? std::string(e) : std::string();
-  }();
-  return parsed;
-}
-
 }  // namespace accred::gpusim

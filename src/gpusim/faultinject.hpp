@@ -1,7 +1,7 @@
 // Deterministic fault injection for the SIMT simulator — the probe half of
 // the robustness layer (DESIGN.md §11). A seeded, per-launch FaultPlan
-// (SimOptions::faults / --faults / ACCRED_FAULTS) arms faults at named
-// sites keyed by prof_scope stage plus (block, warp) coordinates:
+// (SimOptions::faults / --faults) arms faults at named sites keyed by
+// prof_scope stage plus (block, warp) coordinates:
 //
 //   * bitflip       — flip one seeded bit of the nth matching shared/global
 //                     store's payload (silent data corruption),
@@ -166,9 +166,5 @@ class BlockFaults {
   std::uint64_t flat_block_ = 0;
   Dim3 block_idx_{};
 };
-
-/// The ACCRED_FAULTS environment variable (read once): the initial value of
-/// SimOptions::faults and testsuite::RunnerOptions::faults. "" when unset.
-[[nodiscard]] const std::string& faults_env_default();
 
 }  // namespace accred::gpusim

@@ -3,31 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
-
-#include "util/env.hpp"
 
 namespace accred::gpusim {
 
 namespace {
 
 std::atomic<std::uint32_t> g_default_override{0};
-
-std::uint32_t env_sim_threads() {
-  static const std::uint32_t parsed = [] {
-    const std::optional<std::uint64_t> n =
-        util::parse_env_unsigned(std::getenv("ACCRED_SIM_THREADS"));
-    if (!n) return 0U;  // unset or malformed: ignore
-    return static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(*n, kMaxSimThreads));
-  }();
-  return parsed;
-}
 
 }  // namespace
 
@@ -63,8 +48,6 @@ void CancelToken::on_launch_begin() noexcept {
 std::uint32_t default_sim_threads() {
   const std::uint32_t forced = g_default_override.load(std::memory_order_relaxed);
   if (forced != 0) return forced;
-  const std::uint32_t env = env_sim_threads();
-  if (env != 0) return env;
   const std::uint32_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

@@ -121,10 +121,9 @@ private:
 };
 
 /// Default worker count for launches with SimOptions::sim_threads == 0:
-/// the ACCRED_SIM_THREADS environment variable if set (parsed once), else
-/// std::thread::hardware_concurrency(). set_default_sim_threads() overrides
-/// both for the process — benches and examples wire their --sim-threads
-/// flag through it; 0 restores the env / hardware default.
+/// std::thread::hardware_concurrency(), unless set_default_sim_threads()
+/// overrode it for the process — benches and examples wire their
+/// --sim-threads flag through it; 0 restores the hardware default.
 [[nodiscard]] std::uint32_t default_sim_threads();
 void set_default_sim_threads(std::uint32_t n);
 
@@ -136,7 +135,7 @@ void set_default_sim_threads(std::uint32_t n);
                                                 std::uint64_t blocks);
 
 /// Upper bound on shards/workers per launch (a safety valve for
-/// pathological ACCRED_SIM_THREADS values, far above any real host).
+/// pathological --sim-threads values, far above any real host).
 inline constexpr std::uint32_t kMaxSimThreads = 256;
 
 /// One contiguous slab of fiber stacks, recycled across thread blocks and

@@ -1,8 +1,6 @@
 #include "gpusim/racecheck.hpp"
 
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 #include "obs/profiler.hpp"
 
@@ -196,14 +194,6 @@ std::vector<RaceReport> RaceChecker::take_reports(
     out.push_back(std::move(r));
   }
   return out;
-}
-
-bool racecheck_env_default() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ACCRED_RACECHECK");
-    return env && *env && std::string_view(env) != "0";
-  }();
-  return enabled;
 }
 
 }  // namespace accred::gpusim

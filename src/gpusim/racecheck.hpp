@@ -187,8 +187,4 @@ private:
   std::vector<Pending> pending_;
 };
 
-/// Truthy ACCRED_RACECHECK environment variable (parsed once): the initial
-/// value of SimOptions::racecheck, mirroring ACCRED_PROFILE.
-[[nodiscard]] bool racecheck_env_default();
-
 }  // namespace accred::gpusim

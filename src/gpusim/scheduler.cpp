@@ -1,12 +1,8 @@
 #include "gpusim/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
-
-#include "util/env.hpp"
 
 namespace accred::gpusim {
 
@@ -29,15 +25,6 @@ Dim3 unflatten_thread(std::uint32_t tid, const Dim3& block_dim) {
 }
 
 }  // namespace
-
-std::uint64_t default_max_steps() {
-  static const std::uint64_t parsed = [] {
-    const std::optional<std::uint64_t> n =
-        util::parse_env_unsigned(std::getenv("ACCRED_MAX_STEPS"));
-    return n && *n != 0 ? *n : kDefaultMaxSteps;
-  }();
-  return parsed;
-}
 
 void BlockScheduler::run_thread(void* arg, std::uint32_t t) {
   BlockScheduler& s = *static_cast<BlockScheduler*>(arg);
@@ -192,7 +179,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
     return info;
   };
   const std::uint64_t max_steps =
-      opts_.max_steps != 0 ? opts_.max_steps : default_max_steps();
+      opts_.max_steps != 0 ? opts_.max_steps : kDefaultMaxSteps;
   std::uint64_t steps = 0;
   double block_cost = 0;
   try {

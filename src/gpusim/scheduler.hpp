@@ -27,25 +27,22 @@ struct SimOptions {
   bool strict_barriers = false;      ///< throw if threads exit while peers
                                      ///< wait at syncthreads (CUDA UB)
   /// Host worker threads simulating the blocks of one launch. 0 = process
-  /// default (ACCRED_SIM_THREADS env, else hardware_concurrency — see
-  /// pool.hpp); 1 = serial. Any value produces bit-identical LaunchStats
-  /// and kernel results (DESIGN.md §7).
+  /// default (default_sim_threads() in pool.hpp); 1 = serial. Any value
+  /// produces bit-identical LaunchStats and kernel results (DESIGN.md §7).
   std::uint32_t sim_threads = 0;
   /// Per-stage event attribution (obs/profiler.hpp). When true, every
   /// launch fills LaunchStats::profile from the kernel's prof_scope
-  /// annotations. Starts as the ACCRED_PROFILE environment variable, which
-  /// is off when unset: the hot paths then carry a single null-pointer
+  /// annotations. When off, the hot paths carry a single null-pointer
   /// branch.
-  bool profile = obs::profile_env_default();
+  bool profile = false;
   /// Dynamic race detection (racecheck.hpp). When true, every shared and
   /// global access is shadow-tracked per barrier interval (global words
   /// per block: blocks are independent by the CUDA contract, so
   /// cross-block global races are out of scope), and conflicts surface in
-  /// LaunchStats::race_reports instead of crashing. Starts as the
-  /// ACCRED_RACECHECK environment variable, which is off when unset: like
-  /// profiling, the hot paths then carry a single null-pointer branch and
-  /// the stats stay bit-identical.
-  bool racecheck = racecheck_env_default();
+  /// LaunchStats::race_reports instead of crashing. When off, like
+  /// profiling, the hot paths carry a single null-pointer branch and the
+  /// stats stay bit-identical.
+  bool racecheck = false;
   /// Escalate racecheck conflicts to a LaunchError{kRace} after the stats
   /// merge (launch.cpp) instead of merely reporting them. Gives barrier
   /// mutations a structured, terminating failure without strict mode.
@@ -53,15 +50,14 @@ struct SimOptions {
   /// Watchdog: per-block barrier-wave budget. A kernel whose threads keep
   /// rendezvousing forever (spin-on-flag deadlocks, runaway syncthreads
   /// loops) trips a LaunchError{kWatchdog} with the stuck warp's
-  /// coordinates instead of hanging the host. 0 = default
-  /// (ACCRED_MAX_STEPS env, else kDefaultMaxSteps). Note the limit of the
-  /// cooperative scheduler: a non-yielding infinite loop (no barrier, no
-  /// instrumented access inside) cannot be preempted (DESIGN.md §11).
+  /// coordinates instead of hanging the host. 0 = kDefaultMaxSteps. Note
+  /// the limit of the cooperative scheduler: a non-yielding infinite loop
+  /// (no barrier, no instrumented access inside) cannot be preempted
+  /// (DESIGN.md §11).
   std::uint64_t max_steps = 0;
   /// Fault-injection spec (faultinject.hpp grammar); "" arms nothing.
-  /// Starts as the ACCRED_FAULTS environment variable. launch() parses it
-  /// once per launch.
-  std::string faults = faults_env_default();
+  /// launch() parses it once per launch.
+  std::string faults{};
   /// Client cancellation token (pool.hpp). When set, launch() consumes one
   /// cancel_at_launch() tick at entry and refuses to start a cancelled
   /// launch, and every block checks the token at each barrier wave so a
@@ -101,9 +97,8 @@ struct BlockRun {
 
 /// Default per-block barrier-wave budget: generous (the paper's full-scale
 /// cases stay well under 10^5 waves per block) but finite, so a deadlock
-/// surfaces in seconds instead of never. ACCRED_MAX_STEPS overrides.
+/// surfaces in seconds instead of never.
 inline constexpr std::uint64_t kDefaultMaxSteps = 4'000'000;
-[[nodiscard]] std::uint64_t default_max_steps();
 
 class BlockScheduler {
 public:

@@ -1,6 +1,5 @@
 #include "obs/profiler.hpp"
 
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -73,14 +72,6 @@ void StageTable::merge(const StageTable& o) {
 
 void StageTable::reset_stats() {
   for (Row& r : rows_) r.stats = StageStats{};
-}
-
-bool profile_env_default() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ACCRED_PROFILE");
-    return env && *env && std::string_view(env) != "0";
-  }();
-  return enabled;
 }
 
 namespace {

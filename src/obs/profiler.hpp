@@ -14,7 +14,7 @@
 // (how many of the 32 lanes did anything between two barriers), from
 // which a per-stage divergence fraction is derived.
 //
-// Profiling is opt-in (SimOptions::profile / --profile / ACCRED_PROFILE);
+// Profiling is opt-in (SimOptions::profile / --profile);
 // when off, the only residue on the hot paths is one null-pointer branch
 // per logged event and an empty table in LaunchStats.
 #pragma once
@@ -107,10 +107,6 @@ class StageTable {
  private:
   std::vector<Row> rows_;
 };
-
-/// The initial value of SimOptions::profile: the ACCRED_PROFILE
-/// environment variable, truthy when set and not "0" (parsed once).
-[[nodiscard]] bool profile_env_default();
 
 /// Serialize a table as the schema-v2 "profile" section: an array of
 /// per-stage objects (raw counters, derived metrics, lane histogram) in

@@ -269,8 +269,6 @@ Session::Session(const util::Cli& cli, std::string bench_name)
     : record_(std::move(bench_name)), json_path_(cli.get("json", "")) {
   if (const std::string t = cli.get("trace", ""); !t.empty()) {
     trace_configure(t);
-  } else {
-    trace_configure_from_env();
   }
 }
 

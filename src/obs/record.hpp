@@ -147,11 +147,10 @@ private:
 };
 
 /// Per-executable observability session: reads `--json FILE` and
-/// `--trace FILE` (falling back to the ACCRED_TRACE env var) from the
-/// already-parsed CLI, exposes the RunRecord the harness fills, and on
-/// destruction writes the record and flushes the trace. util::tool_main
-/// (util/main_guard.hpp) opens the one session of every bench and example
-/// and hands its record to the main's body.
+/// `--trace FILE` from the already-parsed CLI, exposes the RunRecord the
+/// harness fills, and on destruction writes the record and flushes the
+/// trace. util::tool_main (util/main_guard.hpp) opens the one session of
+/// every bench and example and hands its record to the main's body.
 class Session {
 public:
   Session(const util::Cli& cli, std::string bench_name);

@@ -86,13 +86,6 @@ void trace_configure(std::string path) {
   g_enabled.store(!s.path.empty(), std::memory_order_relaxed);
 }
 
-void trace_configure_from_env() {
-  if (trace_enabled()) return;
-  if (const char* env = std::getenv("ACCRED_TRACE"); env && *env) {
-    trace_configure(env);
-  }
-}
-
 std::string trace_path() {
   TraceState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);

@@ -1,8 +1,8 @@
 // Optional per-launch event trace in chrome://tracing ("Trace Event
 // Format") JSON. Process-wide, thread-safe, and disabled by default: every
 // emit call is a no-op behind one relaxed atomic load until a bench or
-// example enables it with `--trace FILE` (or the ACCRED_TRACE env var —
-// see obs/record.hpp's Session, which wires both).
+// example enables it with `--trace FILE` (obs/record.hpp's Session wires
+// the flag).
 //
 // The gpusim launch driver emits B/E spans for every kernel launch (named
 // by SimOptions::label, so the reduce strategies' partial and finalize
@@ -36,10 +36,6 @@ struct TraceStrArg {
 /// Arm the tracer to write `path` on flush; an empty path disables and
 /// drops any buffered events. Thread-safe; last call wins.
 void trace_configure(std::string path);
-
-/// Arm from the ACCRED_TRACE environment variable if set and the tracer
-/// is not already armed (flag beats env).
-void trace_configure_from_env();
 
 /// The armed output path ("" when disabled).
 [[nodiscard]] std::string trace_path();

@@ -26,7 +26,7 @@ testsuite::RunnerOptions runner_options(const JobSpec& job) {
   opts.config = job.config;
   opts.sim_threads = job.sim_threads;
   opts.faults = job.faults;
-  opts.max_retries = job.max_retries;
+  opts.guard.max_retries = job.max_retries;
   opts.cancel = job.cancel;
   return opts;
 }

@@ -620,10 +620,10 @@ void ReductionService::run_job(Pending job, std::uint32_t worker_index) {
   r.queue_ms = ms_since(job.submitted_at);
 
   testsuite::RunnerOptions opts = runner_options(job.spec);
-  opts.max_degrade_rungs = cfg_.max_degrade_rungs;
+  opts.guard.max_degrade_rungs = cfg_.max_degrade_rungs;
   // Retry-budget grant from the dispatch decision: 0 when the budget is
   // off (ladder bounds attempts), else 1 + the tokens taken.
-  opts.max_total_attempts = job.attempts_granted;
+  opts.guard.max_total_attempts = job.attempts_granted;
   testsuite::Runner runner(opts);
   try {
     r.outcome = runner.run_planned(job.spec.compiler, job.spec.kase, job.plan);

@@ -85,9 +85,9 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
 
 /// The runner's simulation knobs, applied to every kind's strategy config.
 void apply_sim_options(reduce::StrategyConfig& sc, const RunnerOptions& opts) {
-  if (opts.sim_threads != 0) sc.sim.sim_threads = opts.sim_threads;
-  if (opts.racecheck) sc.sim.racecheck = true;
-  if (opts.error_on_race) sc.sim.error_on_race = true;
+  sc.sim.sim_threads = opts.sim_threads;
+  sc.sim.racecheck = opts.racecheck;
+  sc.sim.error_on_race = opts.error_on_race;
   sc.sim.max_steps = opts.max_steps;
   sc.sim.faults = opts.faults;
   sc.sim.cancel_token = opts.cancel;
@@ -148,12 +148,6 @@ CaseOutcome run_cell(const RunnerOptions& opts, const CellShape& shape,
   // failed is charged in full.
   Clock::duration setup{};
 
-  acc::GuardPolicy policy;
-  policy.max_retries = opts.max_retries;
-  policy.degrade = opts.degrade;
-  policy.max_degrade_rungs = opts.max_degrade_rungs;
-  policy.max_total_attempts = opts.max_total_attempts;
-
   const auto t0 = Clock::now();
   auto run = acc::execute_guarded(
       dev, config, sc,
@@ -163,7 +157,7 @@ CaseOutcome run_cell(const RunnerOptions& opts, const CellShape& shape,
         setup += Clock::now() - a0;
         return launch(dev, bufs, cfg, s);
       },
-      policy,
+      opts.guard,
       [&](const auto& res, std::string& why) { return check(bufs, res, why); });
   const auto t1 = Clock::now();
 

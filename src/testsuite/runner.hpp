@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "acc/guard.hpp"
 #include "acc/planner.hpp"
 #include "acc/profiles.hpp"
 #include "gpusim/cost_model.hpp"
-#include "gpusim/faultinject.hpp"
 #include "gpusim/pool.hpp"
 #include "testsuite/cases.hpp"
 
@@ -31,29 +31,20 @@ struct RunnerOptions {
   bool parallel_work = true;
   acc::LaunchConfig config{};  ///< paper defaults: 192 / 8 / 128
   /// Host worker threads per kernel launch, forwarded into every planned
-  /// strategy's SimOptions. 0 = process default (ACCRED_SIM_THREADS env /
-  /// hardware_concurrency), 1 = serial; results are identical either way.
+  /// strategy's SimOptions. 0 = the process default
+  /// (gpusim::default_sim_threads()), 1 = serial; results are identical
+  /// either way.
   std::uint32_t sim_threads = 0;
   /// Run every planned strategy under the dynamic race detector
   /// (gpusim/racecheck.hpp); conflicts land in CaseOutcome::stats.
   bool racecheck = false;
   /// Fault-injection spec (gpusim/faultinject.hpp grammar) armed on every
   /// attempt of the guarded ladder, the runner's own device allocations
-  /// included; "" arms nothing. Starts as the ACCRED_FAULTS environment
-  /// variable.
-  std::string faults = gpusim::faults_env_default();
-  /// Guarded execution: same-configuration re-runs after a failed attempt
-  /// before the ladder degrades the plan (acc::execute_guarded).
-  int max_retries = 1;
-  /// Walk the degradation ladder (all-barriers tree, then smaller launch
-  /// geometry) after the retries; off = retry only.
-  bool degrade = true;
-  /// Degradation rungs the ladder may descend: -1 = unlimited, 0 = none,
-  /// N = stop after the Nth plan change (GuardPolicy::max_degrade_rungs).
-  int max_degrade_rungs = -1;
-  /// Hard cap on total guarded attempts (0 = unlimited) — the hook the
-  /// service's per-tenant retry budget debits against.
-  int max_total_attempts = 0;
+  /// included; "" arms nothing.
+  std::string faults{};
+  /// The guarded ladder's retries, degradation rungs and attempt cap
+  /// (acc::execute_guarded).
+  acc::GuardPolicy guard{};
   /// Client cancellation token observed by every kernel this case
   /// launches (gpusim::CancelToken): once cancelled, the run terminates
   /// with a structured kCancelled in CaseOutcome::stats.error and the
@@ -62,8 +53,8 @@ struct RunnerOptions {
   /// Escalate racecheck conflicts into LaunchError{kRace} (the terminating
   /// verdict for deleted-barrier mutants; needs racecheck).
   bool error_on_race = false;
-  /// Watchdog barrier-wave budget override per kernel; 0 = default
-  /// (ACCRED_MAX_STEPS env, else gpusim::kDefaultMaxSteps).
+  /// Watchdog barrier-wave budget override per kernel; 0 =
+  /// gpusim::kDefaultMaxSteps.
   std::uint64_t max_steps = 0;
 };
 

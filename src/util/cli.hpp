@@ -1,21 +1,20 @@
-// Tiny command-line flag parser for the bench / example executables.
-// Supports `--name value`, `--name=value`, and boolean `--name`.
+// Tiny command-line flag parser for the bench, example and tool
+// executables. Supports `--name value`, `--name=value`, and boolean
+// `--name`.
 //
-// Boolean flags must be declared up front (the `bool_flags` constructor
-// set): an undeclared `--flag` followed by a non-flag token greedily binds
-// the token as its value, which silently swallows positionals
-// (`bench --profile out.json` used to store "out.json" as the value of
-// --profile). Declared booleans never consume the next argument; read them
+// Every flag is declared up front, as a boolean (`bool_flags`) or as
+// taking a value (`value_flags`). Any other `--name` on the command line
+// is a usage error naming it, so a misspelt flag cannot run silently at
+// its default; reading a name that was never declared is a logic error.
+// Declared booleans never consume the next argument (`bench --profile
+// out.json` used to store "out.json" as the value of --profile); read them
 // with get_bool(), which also accepts explicit `--flag=0` / `--flag=true`
 // forms.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <map>
-#include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -25,9 +24,10 @@ namespace accred::util {
 
 class Cli {
 public:
-  Cli(int argc, char** argv,
-      std::initializer_list<std::string_view> bool_flags = {}) {
-    for (std::string_view f : bool_flags) bool_flags_.emplace(f);
+  Cli(int argc, char** argv, const std::vector<std::string_view>& bool_flags,
+      const std::vector<std::string_view>& value_flags) {
+    for (std::string_view f : bool_flags) takes_value_.emplace(f, false);
+    for (std::string_view f : value_flags) takes_value_.emplace(f, true);
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
       if (!arg.starts_with("--")) {
@@ -35,25 +35,31 @@ public:
         continue;
       }
       arg.remove_prefix(2);
-      if (auto eq = arg.find('='); eq != std::string_view::npos) {
-        flags_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-      } else if (!bool_flags_.contains(arg) && i + 1 < argc &&
-                 std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        flags_[std::string(arg)] = argv[++i];
+      const std::size_t eq = arg.find('=');
+      std::string name(arg.substr(0, eq));
+      const auto decl = takes_value_.find(name);
+      if (decl == takes_value_.end()) {
+        throw std::invalid_argument("unknown flag --" + name);
+      }
+      if (eq != std::string_view::npos) {
+        flags_[std::move(name)] = std::string(arg.substr(eq + 1));
+      } else if (decl->second && i + 1 < argc &&
+                 !std::string_view(argv[i + 1]).starts_with("--")) {
+        flags_[std::move(name)] = argv[++i];
       } else {
-        flags_[std::string(arg)] = "";  // boolean flag
+        flags_[std::move(name)] = "";  // boolean flag
       }
     }
   }
 
   [[nodiscard]] bool has(const std::string& name) const {
-    return flags_.contains(name);
+    return value(name) != nullptr;
   }
 
   [[nodiscard]] std::string get(const std::string& name,
                                 std::string fallback) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? std::move(fallback) : it->second;
+    const std::string* v = value(name);
+    return v == nullptr ? std::move(fallback) : *v;
   }
 
   /// Boolean flag value: absent -> fallback, bare `--name` (empty value)
@@ -61,9 +67,9 @@ public:
   /// -> true; anything else is a usage error.
   [[nodiscard]] bool get_bool(const std::string& name,
                               bool fallback = false) const {
-    auto it = flags_.find(name);
-    if (it == flags_.end()) return fallback;
-    const std::string& v = it->second;
+    const std::string* p = value(name);
+    if (p == nullptr) return fallback;
+    const std::string& v = *p;
     if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
       return true;
     }
@@ -74,8 +80,8 @@ public:
 
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : parse_int(name, it->second);
+    const std::string* v = value(name);
+    return v == nullptr ? fallback : parse_int(name, *v);
   }
 
   /// Comma-separated list of counts (`--sizes 64,128`): every element
@@ -117,20 +123,20 @@ public:
 
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const {
-    auto it = flags_.find(name);
-    if (it == flags_.end()) return fallback;
+    const std::string* text = value(name);
+    if (text == nullptr) return fallback;
     std::size_t pos = 0;
     double v = 0;
     try {
-      v = std::stod(it->second, &pos);
+      v = std::stod(*text, &pos);
     } catch (const std::exception&) {
       throw std::invalid_argument("--" + name + ": expected a number, got \"" +
-                                  it->second + "\"");
+                                  *text + "\"");
     }
-    if (pos != it->second.size()) {
+    if (pos != text->size()) {
       throw std::invalid_argument("--" + name +
                                   ": trailing characters after number: \"" +
-                                  it->second + "\"");
+                                  *text + "\"");
     }
     return v;
   }
@@ -140,6 +146,15 @@ public:
   }
 
 private:
+  /// The value given for `name` ("" for a bare flag), or null when absent.
+  const std::string* value(const std::string& name) const {
+    if (!takes_value_.contains(name)) {
+      throw std::logic_error("flag --" + name + " is read but not declared");
+    }
+    const auto it = flags_.find(name);
+    return it == flags_.end() ? nullptr : &it->second;
+  }
+
   static std::int64_t parse_int(const std::string& name,
                                 const std::string& text) {
     std::size_t pos = 0;
@@ -158,8 +173,9 @@ private:
     return v;
   }
 
+  /// Every declared flag, and whether it takes a value.
+  std::map<std::string, bool, std::less<>> takes_value_;
   std::map<std::string, std::string> flags_;
-  std::set<std::string, std::less<>> bool_flags_;
   std::vector<std::string> positional_;
 };
 

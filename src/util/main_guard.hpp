@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "gpusim/error.hpp"
 #include "gpusim/pool.hpp"
@@ -25,21 +26,27 @@ namespace accred::util {
 inline constexpr int kGuardedExitCode = 3;
 
 /// Run `body(cli, record)` as the program `name`. The command line is
-/// parsed with `bool_flags` declared boolean; `--sim-threads N` becomes
-/// the process default (gpusim::set_default_sim_threads), and `--json` /
-/// `--trace` open the obs::Session whose record the body fills. Returns
+/// parsed with `bool_flags` declared boolean and `value_flags` declared
+/// taking a value, next to the three every tool takes: `--sim-threads N`
+/// becomes the process default (gpusim::set_default_sim_threads), and
+/// `--json` / `--trace` open the obs::Session whose record the body
+/// fills. Any other flag is a usage error before the body runs. Returns
 /// the body's code, or 1 when the body returned 0 but the record or trace
 /// could not be written. An escaping exception still writes the partial
 /// record (the session closes as the stack unwinds), then prints one
 /// `[fatal]` line and returns kGuardedExitCode. Usage:
 ///   int main(int argc, char** argv) {
-///     return accred::util::tool_main(argc, argv, "fig12a_heat", {}, run);
+///     return accred::util::tool_main(argc, argv, "fig12a_heat", {},
+///                                    {"iters", "sizes", "tol"}, run);
 ///   }
 inline int tool_main(int argc, char** argv, std::string name,
                      std::initializer_list<std::string_view> bool_flags,
+                     std::initializer_list<std::string_view> value_flags,
                      int (*body)(const Cli&, obs::RunRecord&)) noexcept {
   try {
-    const Cli cli(argc, argv, bool_flags);
+    std::vector<std::string_view> values = {"sim-threads", "json", "trace"};
+    values.insert(values.end(), value_flags);
+    const Cli cli(argc, argv, bool_flags, values);
     gpusim::set_default_sim_threads(cli.get_uint32("sim-threads", 0));
     obs::Session session(cli, std::move(name));
     const int code = body(cli, session.record());

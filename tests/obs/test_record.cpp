@@ -145,7 +145,7 @@ TEST(Record, SessionWritesRequestedFile) {
   std::remove(path.c_str());
   {
     const char* argv[] = {"prog", "--json", path.c_str()};
-    const util::Cli cli(3, const_cast<char**>(argv));
+    const util::Cli cli(3, const_cast<char**>(argv), {}, {"json", "trace"});
     Session session(cli, "session_bench");
     session.record().entry("row").metric("device_ms", 2.0);
     EXPECT_TRUE(session.finish());
@@ -199,7 +199,7 @@ TEST(Record, LoadRecordNamesTheFileItRefuses) {
 
 TEST(Record, SessionWithoutFlagsWritesNothing) {
   const char* argv[] = {"prog"};
-  const util::Cli cli(1, const_cast<char**>(argv));
+  const util::Cli cli(1, const_cast<char**>(argv), {}, {"json", "trace"});
   Session session(cli, "quiet");
   EXPECT_FALSE(session.json_enabled());
   EXPECT_TRUE(session.finish());

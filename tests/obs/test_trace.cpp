@@ -163,13 +163,6 @@ TEST_F(TraceTest, FaultingLaunchStillFlushesBalancedTrace) {
   std::remove(path.c_str());
 }
 
-TEST_F(TraceTest, EnvVariableArmsWhenFlagAbsent) {
-  // Flag beats env: once armed, the env var must not re-route the output.
-  trace_configure("/tmp/accred_trace_flag.json");
-  trace_configure_from_env();
-  EXPECT_EQ(trace_path(), "/tmp/accred_trace_flag.json");
-}
-
 TEST_F(TraceTest, CounterAndSpanHelpers) {
   const std::string path = ::testing::TempDir() + "accred_trace_span.json";
   std::remove(path.c_str());

@@ -245,8 +245,8 @@ TEST(RunnerDegradation, BitflipIsCaughtStrippedAndRecovered) {
 TEST(RunnerDegradation, StickyBitflipWithoutDegradeFailsStructurally) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = "bitflip@tree:block=0,bit=62,sticky";
-  o.max_retries = 1;
-  o.degrade = false;
+  o.guard.max_retries = 1;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -282,7 +282,7 @@ TEST(RunnerDegradation, StickyInputAllocFailureWalksTheLadder) {
   // alloc_fail on the input fails every attempt the ladder makes.
   testsuite::RunnerOptions o = small_opts();
   o.faults = "alloc_fail@input:sticky";
-  o.degrade = false;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -305,11 +305,33 @@ TEST(RunnerDegradation, AllocFailureFiresOnce) {
   EXPECT_EQ(out.stats.fault_events[0].kind, FaultKind::kAllocFail);
 }
 
+TEST(RunnerDegradation, AllStickySpecStripsNothingInAnyKeyOrder) {
+  // The parsed plan decides the strip, not the spec text: an all-sticky
+  // spec strips nothing whatever its key order, so both spellings make
+  // the same attempts.
+  const auto run = [](const char* spec) {
+    testsuite::RunnerOptions o = small_opts();
+    o.faults = spec;
+    o.guard.max_retries = 0;
+    return testsuite::Runner(o).run(acc::CompilerId::kOpenUH, kGangSumInt);
+  };
+  const testsuite::CaseOutcome canonical =
+      run("bitflip@tree:block=0,seed=2,bit=62,sticky");
+  const testsuite::CaseOutcome reordered =
+      run("bitflip@tree:block=0,bit=62,seed=2,sticky");
+  EXPECT_GT(canonical.attempts, 1);
+  EXPECT_EQ(reordered.attempts, canonical.attempts);
+  EXPECT_EQ(reordered.events.size(), canonical.events.size());
+  for (const std::string& ev : reordered.events) {
+    EXPECT_EQ(ev.find("strip non-sticky faults"), std::string::npos) << ev;
+  }
+}
+
 TEST(RunnerDegradation, RunnerEventsRenderRungAndOrdinal) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = "bitflip@tree:block=0,bit=62,sticky";
-  o.max_retries = 1;
-  o.degrade = false;
+  o.guard.max_retries = 1;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -323,8 +345,8 @@ TEST(RunnerDegradation, RunnerEventsRenderRungAndOrdinal) {
 TEST(RunnerDegradation, AttemptBudgetAppliesThroughTheRunner) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = "bitflip@tree:block=0,bit=62,sticky";
-  o.max_retries = 3;
-  o.max_total_attempts = 2;
+  o.guard.max_retries = 3;
+  o.guard.max_total_attempts = 2;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -358,8 +380,8 @@ TEST(RunnerDegradation, WatchdogBudgetAppliesThroughTheRunner) {
   // and the cell fails with a structured kWatchdog error.
   testsuite::RunnerOptions o = small_opts();
   o.max_steps = 1;
-  o.max_retries = 0;
-  o.degrade = false;
+  o.guard.max_retries = 0;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -429,7 +451,7 @@ TEST(RunnerDegradation, CancelledExtCellStopsAfterOneAttempt) {
 TEST(RunnerDegradation, AttemptBudgetOfOneStopsAnExtCell) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = kArgminFlip;
-  o.max_total_attempts = 1;
+  o.guard.max_total_attempts = 1;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out = runner.run_ext(
       acc::CompilerId::kOpenUH,

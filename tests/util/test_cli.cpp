@@ -1,11 +1,11 @@
-// Tests for the CLI flag parser, focused on the two historical footguns:
-// boolean flags silently swallowing the next positional, and raw
-// stoll/stod exceptions surfacing without the flag name.
+// Tests for the CLI flag parser, focused on the historical footguns:
+// boolean flags silently swallowing the next positional, raw stoll/stod
+// exceptions surfacing without the flag name, and a misspelt flag running
+// silently at its default.
 #include "util/cli.hpp"
 
 #include <gtest/gtest.h>
 
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -16,37 +16,58 @@ namespace accred {
 namespace {
 
 util::Cli make_cli(std::vector<std::string> args,
-                   std::initializer_list<std::string_view> bool_flags = {}) {
+                   const std::vector<std::string_view>& bool_flags,
+                   const std::vector<std::string_view>& value_flags) {
   static std::vector<std::string> storage;
   storage = std::move(args);
   static std::vector<char*> argv;
   argv.clear();
   argv.push_back(const_cast<char*>("prog"));
   for (auto& a : storage) argv.push_back(a.data());
-  return util::Cli(static_cast<int>(argv.size()), argv.data(), bool_flags);
+  return util::Cli(static_cast<int>(argv.size()), argv.data(), bool_flags,
+                   value_flags);
 }
 
 TEST(Cli, DeclaredBooleanDoesNotSwallowPositional) {
   // The original bug: `bench --profile out.json` bound "out.json" as the
   // value of --profile and lost the positional.
-  auto cli = make_cli({"--profile", "out.json"}, {"profile"});
+  auto cli = make_cli({"--profile", "out.json"}, {"profile"}, {});
   EXPECT_TRUE(cli.get_bool("profile"));
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "out.json");
 }
 
-TEST(Cli, UndeclaredFlagKeepsGreedyValueBinding) {
-  // Valued flags (not in the boolean set) still bind the next token.
-  auto cli = make_cli({"--json", "out.json", "--r", "4096"});
+TEST(Cli, ValueFlagBindsTheNextToken) {
+  auto cli = make_cli({"--json", "out.json", "--r", "4096"}, {},
+                      {"json", "r"});
   EXPECT_EQ(cli.get("json", ""), "out.json");
   EXPECT_EQ(cli.get_int("r", 0), 4096);
   EXPECT_TRUE(cli.positional().empty());
 }
 
+TEST(Cli, UnknownFlagIsAUsageErrorNamingIt) {
+  // A misspelt flag must not run silently at its default.
+  for (const char* typo : {"--fualts", "--fualts=bitflip"}) {
+    try {
+      (void)make_cli({"--faults", "x", typo}, {}, {"faults"});
+      FAIL() << "expected std::invalid_argument for " << typo;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "unknown flag --fualts");
+    }
+  }
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagIsALogicError) {
+  auto cli = make_cli({}, {"full"}, {"r"});
+  EXPECT_FALSE(cli.has("full"));
+  EXPECT_THROW((void)cli.has("racecheck"), std::logic_error);
+  EXPECT_THROW((void)cli.get_int("n", 0), std::logic_error);
+}
+
 TEST(Cli, BooleanAndValuedFlagsMix) {
   auto cli = make_cli(
       {"--racecheck", "--r", "1024", "--full", "table2.json", "--fig11"},
-      {"racecheck", "full", "fig11"});
+      {"racecheck", "full", "fig11"}, {"r"});
   EXPECT_TRUE(cli.get_bool("racecheck"));
   EXPECT_TRUE(cli.get_bool("full"));
   EXPECT_TRUE(cli.get_bool("fig11"));
@@ -57,7 +78,7 @@ TEST(Cli, BooleanAndValuedFlagsMix) {
 
 TEST(Cli, EqualsFormBindsForBooleanAndValuedFlags) {
   auto cli = make_cli({"--name=table2", "--profile=0", "--full=yes"},
-                      {"profile", "full"});
+                      {"profile", "full"}, {"name"});
   EXPECT_EQ(cli.get("name", ""), "table2");
   EXPECT_FALSE(cli.get_bool("profile", true));
   EXPECT_TRUE(cli.get_bool("full"));
@@ -66,7 +87,7 @@ TEST(Cli, EqualsFormBindsForBooleanAndValuedFlags) {
 TEST(Cli, GetBoolForms) {
   auto cli = make_cli({"--a=1", "--b=true", "--c=on", "--d=0", "--e=false",
                        "--f=off", "--g=no", "--h"},
-                      {"h"});
+                      {"a", "b", "c", "d", "e", "f", "g", "h", "missing"}, {});
   EXPECT_TRUE(cli.get_bool("a"));
   EXPECT_TRUE(cli.get_bool("b"));
   EXPECT_TRUE(cli.get_bool("c"));
@@ -80,7 +101,7 @@ TEST(Cli, GetBoolForms) {
 }
 
 TEST(Cli, GetBoolRejectsGarbageWithFlagName) {
-  auto cli = make_cli({"--flag=maybe"});
+  auto cli = make_cli({"--flag=maybe"}, {"flag"}, {});
   try {
     (void)cli.get_bool("flag");
     FAIL() << "expected std::invalid_argument";
@@ -92,13 +113,14 @@ TEST(Cli, GetBoolRejectsGarbageWithFlagName) {
 
 TEST(Cli, NegativeNumericValuesBind) {
   // "-5" does not start with "--", so it binds as the flag's value.
-  auto cli = make_cli({"--delta", "-5", "--tol", "-0.25"});
+  auto cli = make_cli({"--delta", "-5", "--tol", "-0.25"}, {},
+                      {"delta", "tol"});
   EXPECT_EQ(cli.get_int("delta", 0), -5);
   EXPECT_DOUBLE_EQ(cli.get_double("tol", 0), -0.25);
 }
 
 TEST(Cli, GetIntRejectsTrailingGarbage) {
-  auto cli = make_cli({"--gangs", "12x"});
+  auto cli = make_cli({"--gangs", "12x"}, {}, {"gangs"});
   try {
     (void)cli.get_int("gangs", 0);
     FAIL() << "expected std::invalid_argument";
@@ -110,7 +132,7 @@ TEST(Cli, GetIntRejectsTrailingGarbage) {
 }
 
 TEST(Cli, GetIntRejectsNonNumbersWithFlagName) {
-  auto cli = make_cli({"--r", "lots"});
+  auto cli = make_cli({"--r", "lots"}, {}, {"r"});
   try {
     (void)cli.get_int("r", 0);
     FAIL() << "expected std::invalid_argument";
@@ -122,9 +144,9 @@ TEST(Cli, GetIntRejectsNonNumbersWithFlagName) {
 }
 
 TEST(Cli, GetDoubleRejectsTrailingGarbageAndNonNumbers) {
-  auto bad_tail = make_cli({"--tol=0.5abc"});
+  auto bad_tail = make_cli({"--tol=0.5abc"}, {}, {"tol"});
   EXPECT_THROW((void)bad_tail.get_double("tol", 0), std::invalid_argument);
-  auto bad = make_cli({"--tol=big"});
+  auto bad = make_cli({"--tol=big"}, {}, {"tol"});
   try {
     (void)bad.get_double("tol", 0);
     FAIL() << "expected std::invalid_argument";
@@ -139,7 +161,8 @@ TEST(Cli, GetUint32RejectsValuesThatWouldWrap) {
   // A cast of get_int() turned --sim-threads -1 into 256 shards and
   // --sim-threads=-4294967295 into 1.
   auto cli = make_cli({"--sim-threads", "-1", "--b=-4294967295",
-                       "--c=4294967296", "--d=4294967295", "--e", "4"});
+                       "--c=4294967296", "--d=4294967295", "--e", "4"},
+                      {}, {"sim-threads", "b", "c", "d", "e", "missing"});
   for (const char* name : {"sim-threads", "b", "c"}) {
     try {
       (void)cli.get_uint32(name, 0);
@@ -159,7 +182,8 @@ TEST(Cli, GetCountsChecksEveryElement) {
   // --samples -4 wrapped to a huge count before the list went through
   // get_int's checks.
   auto cli = make_cli({"--a", "20x", "--b", "abc", "--c=-4", "--d", "8,0",
-                       "--e", "4,,8", "--f", "64,128"});
+                       "--e", "4,,8", "--f", "64,128"},
+                      {}, {"a", "b", "c", "d", "e", "f", "missing"});
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"a", "20x"}, {"b", "abc"}, {"c", "-4"}, {"d", "\"0\""},
       {"e", "\"\""}};
@@ -179,7 +203,8 @@ TEST(Cli, GetCountsChecksEveryElement) {
 }
 
 TEST(Cli, NumericsStillParseGoodValues) {
-  auto cli = make_cli({"--r", "1048576", "--tol", "1e-6", "--scale=2.5"});
+  auto cli = make_cli({"--r", "1048576", "--tol", "1e-6", "--scale=2.5"}, {},
+                      {"r", "tol", "scale"});
   EXPECT_EQ(cli.get_int("r", 0), 1048576);
   EXPECT_DOUBLE_EQ(cli.get_double("tol", 0), 1e-6);
   EXPECT_DOUBLE_EQ(cli.get_double("scale", 0), 2.5);
@@ -187,7 +212,7 @@ TEST(Cli, NumericsStillParseGoodValues) {
 
 TEST(Cli, PositionalsPreservedAroundFlags) {
   auto cli = make_cli({"first", "--racecheck", "second", "--r", "8", "third"},
-                      {"racecheck"});
+                      {"racecheck"}, {"r"});
   ASSERT_EQ(cli.positional().size(), 3u);
   EXPECT_EQ(cli.positional()[0], "first");
   EXPECT_EQ(cli.positional()[1], "second");
@@ -196,10 +221,11 @@ TEST(Cli, PositionalsPreservedAroundFlags) {
   EXPECT_EQ(cli.get_int("r", 0), 8);
 }
 
-TEST(Cli, TrailingDeclaredAndUndeclaredBooleans) {
+TEST(Cli, TrailingBooleanAndValueFlags) {
   // A flag in last position has no next token either way.
-  auto cli = make_cli({"--verbose", "--racecheck"}, {"racecheck"});
-  EXPECT_TRUE(cli.has("verbose"));
+  auto cli = make_cli({"--json", "--racecheck"}, {"racecheck"}, {"json"});
+  EXPECT_TRUE(cli.has("json"));
+  EXPECT_EQ(cli.get("json", "x"), "");
   EXPECT_TRUE(cli.get_bool("racecheck"));
 }
 

@@ -1,46 +1,62 @@
-// Numeric environment settings: the strict parse helper (util/env.hpp)
-// and the two process defaults that read through it. strtoul/strtoull
-// wrapped a leading '-', so ACCRED_SIM_THREADS=-1 meant 256 shards and
-// ACCRED_MAX_STEPS=-1 switched the watchdog off.
-#include "util/env.hpp"
-
+// Every simulation knob has one source, its flag or its option field: the
+// environment sets no default. The test sets each variable an earlier
+// version read, before anything in this binary uses the library, and
+// checks that every default is still the built-in constant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
 
+#include "gpusim/launch.hpp"
 #include "gpusim/pool.hpp"
-#include "gpusim/scheduler.hpp"
+#include "obs/record.hpp"
+#include "obs/trace.hpp"
+#include "testsuite/runner.hpp"
+#include "util/cli.hpp"
 
 namespace accred {
 namespace {
 
-TEST(ParseEnvUnsigned, AcceptsPlainDecimalDigits) {
-  EXPECT_EQ(util::parse_env_unsigned("0"), 0U);
-  EXPECT_EQ(util::parse_env_unsigned("4"), 4U);
-  EXPECT_EQ(util::parse_env_unsigned("0007"), 7U);
-  EXPECT_EQ(util::parse_env_unsigned("18446744073709551615"),
-            UINT64_C(18446744073709551615));
-}
-
-TEST(ParseEnvUnsigned, MalformedValuesAreRejected) {
-  for (const char* bad : {"", "-1", "-0", "+4", " 4", "4 ", "4x", "0x10",
-                          "1e3", "18446744073709551616"}) {
-    EXPECT_EQ(util::parse_env_unsigned(bad), std::nullopt) << '"' << bad
-                                                           << '"';
+TEST(EnvDefaults, EnvironmentSetsNoDefault) {
+  const std::string trace = testing::TempDir() + "env_defaults.trace.json";
+  const std::pair<const char*, std::string> settings[] = {
+      {"ACCRED_SIM_THREADS", "3"}, {"ACCRED_MAX_STEPS", "5"},
+      {"ACCRED_FAULTS", "bitflip"}, {"ACCRED_RACECHECK", "1"},
+      {"ACCRED_PROFILE", "1"},      {"ACCRED_TRACE", trace}};
+  for (const auto& [name, value] : settings) {
+    ASSERT_EQ(::setenv(name, value.c_str(), 1), 0) << name;
   }
-  EXPECT_EQ(util::parse_env_unsigned(nullptr), std::nullopt);
-}
 
-TEST(EnvDefaults, NegativeValuesFallBackToDefaults) {
-  // Both defaults parse their variable once, on first use, and nothing
-  // else in this binary reads them, so setting them here is in time.
-  ASSERT_EQ(::setenv("ACCRED_SIM_THREADS", "-1", 1), 0);
-  ASSERT_EQ(::setenv("ACCRED_MAX_STEPS", "-1", 1), 0);
   const std::uint32_t hw = std::thread::hardware_concurrency();
   EXPECT_EQ(gpusim::default_sim_threads(), hw == 0 ? 1U : hw);
-  EXPECT_EQ(gpusim::default_max_steps(), gpusim::kDefaultMaxSteps);
+
+  const gpusim::SimOptions sim;
+  EXPECT_EQ(sim.faults, "");
+  EXPECT_FALSE(sim.racecheck);
+  EXPECT_FALSE(sim.profile);
+  EXPECT_EQ(testsuite::RunnerOptions{}.faults, "");
+
+  // max_steps = 0 is the built-in budget, far above six barrier waves.
+  gpusim::Device dev;
+  gpusim::SimOptions opts;
+  opts.sim_threads = 1;
+  gpusim::LaunchStats stats;
+  EXPECT_NO_THROW(stats = gpusim::launch(
+                      dev, {1}, {32}, 0,
+                      [](gpusim::ThreadCtx& ctx) {
+                        for (int i = 0; i < 6; ++i) ctx.syncthreads();
+                      },
+                      opts));
+  EXPECT_EQ(stats.barriers, 6U);
+
+  char prog[] = "prog";
+  char* argv[] = {prog};
+  const util::Cli cli(1, argv, {}, {"json", "trace"});
+  const obs::Session session(cli, "env_defaults");
+  EXPECT_FALSE(obs::trace_enabled());
 }
 
 }  // namespace

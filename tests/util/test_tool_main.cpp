@@ -1,7 +1,8 @@
 // Tests for util::tool_main, the one main of every bench and example: the
 // exit-code contract (the body's code, 1 for a failed record write, 3
-// for an escaping exception), --sim-threads as the process default, and
-// the partial record an exception still leaves behind.
+// for an escaping exception or an unknown flag), --sim-threads as the
+// process default, and the partial record an exception still leaves
+// behind.
 #include "util/main_guard.hpp"
 
 #include <gtest/gtest.h>
@@ -34,7 +35,7 @@ Outcome run_tool(std::vector<std::string> args,
   std::ostringstream err;
   std::streambuf* old = std::cerr.rdbuf(err.rdbuf());
   const int code = util::tool_main(static_cast<int>(argv.size()),
-                                   argv.data(), "tool", {"flag"}, body);
+                                   argv.data(), "tool", {"flag"}, {}, body);
   std::cerr.rdbuf(old);
   gpusim::set_default_sim_threads(0);
   return {code, err.str()};
@@ -76,6 +77,17 @@ TEST(ToolMain, BadSimThreadsIsAUsageError) {
       });
   EXPECT_EQ(o.code, util::kGuardedExitCode);
   EXPECT_NE(o.err.find("[fatal] --sim-threads"), std::string::npos) << o.err;
+}
+
+TEST(ToolMain, UnknownFlagIsAUsageErrorBeforeTheBody) {
+  const Outcome o = run_tool(
+      {"--sim-threads", "1", "--jsno", "x.json"},
+      [](const util::Cli&, obs::RunRecord&) {
+        ADD_FAILURE() << "the body must not run";
+        return 0;
+      });
+  EXPECT_EQ(o.code, util::kGuardedExitCode);
+  EXPECT_EQ(o.err, "[fatal] unknown flag --jsno\n");
 }
 
 TEST(ToolMain, WritesTheRecordTheBodyFilled) {

@@ -1,44 +1,17 @@
-// Tests for the small utility layer: CLI parsing, table rendering, the
-// deterministic RNG, and the compile-time operator functors.
+// Tests for the small utility layer: table rendering, the deterministic
+// RNG, and the compile-time operator functors (the flag parser has its
+// own file, test_cli.cpp).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "acc/ops.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "gpusim/stats_io.hpp"
 #include "util/table.hpp"
 
 namespace accred {
 namespace {
-
-util::Cli make_cli(std::vector<std::string> args) {
-  static std::vector<std::string> storage;
-  storage = std::move(args);
-  static std::vector<char*> argv;
-  argv.clear();
-  argv.push_back(const_cast<char*>("prog"));
-  for (auto& a : storage) argv.push_back(a.data());
-  return util::Cli(static_cast<int>(argv.size()), argv.data());
-}
-
-TEST(Cli, FlagForms) {
-  auto cli = make_cli({"--r", "4096", "--full", "--name=table2", "pos1"});
-  EXPECT_EQ(cli.get_int("r", 0), 4096);
-  EXPECT_TRUE(cli.has("full"));
-  EXPECT_EQ(cli.get("name", ""), "table2");
-  EXPECT_FALSE(cli.has("missing"));
-  EXPECT_EQ(cli.get_int("missing", 7), 7);
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos1");
-}
-
-TEST(Cli, DoubleAndBooleanTail) {
-  auto cli = make_cli({"--tol", "0.5", "--verbose"});
-  EXPECT_DOUBLE_EQ(cli.get_double("tol", 0), 0.5);
-  EXPECT_TRUE(cli.has("verbose"));
-}
 
 TEST(TextTable, AlignsColumnsAndRulesHeader) {
   util::TextTable t;

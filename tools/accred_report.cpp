@@ -18,9 +18,10 @@
 //   1 = the gate failed (diff regression, race, undetected fault, SLO
 //       breach, chaos verdict, records not the same);
 //   2 = unreadable or malformed input (every record goes through
-//       obs::load_record), nothing to judge, bad usage, or any other
-//       exception.
+//       obs::load_record), nothing to judge, bad usage (a flag the
+//       subcommand does not take included), or any other exception.
 // Each subcommand's verdict rules are in its report_*.cpp.
+#include <algorithm>
 #include <iostream>
 #include <string_view>
 
@@ -51,26 +52,28 @@ using namespace accred;
 struct Subcommand {
   std::string_view name;
   int (*run)(const report::Invocation&);
-  bool takes_entry;
-  std::vector<std::string_view> usage;  ///< argument lines
+  std::vector<std::string_view> bool_flags;   ///< besides --help
+  std::vector<std::string_view> value_flags;  ///< "entry": --entry NAME
+  std::vector<std::string_view> usage;        ///< argument lines
 };
 
 const std::vector<Subcommand>& subcommands() {
   static const std::vector<Subcommand> kAll = {
-      {"diff", report::diff, false,
+      {"diff", report::diff, {"all", "wall-report", "list-metrics"},
+       {"tolerance"},
        {"BASELINE.json CURRENT.json [--tolerance 25%|0.25] [--all] "
         "[--wall-report]",
         "RECORD.json --list-metrics"}},
-      {"prof", report::prof, true,
+      {"prof", report::prof, {"compare"}, {"entry"},
        {"RECORD.json [--entry NAME]", "--compare A.json B.json [--entry NAME]"}},
-      {"race", report::race, true, {"RECORD.json [--entry NAME]"}},
-      {"fault", report::fault, true, {"RECORD.json [--entry NAME]"}},
-      {"metrics", report::metrics, true,
+      {"race", report::race, {}, {"entry"}, {"RECORD.json [--entry NAME]"}},
+      {"fault", report::fault, {}, {"entry"}, {"RECORD.json [--entry NAME]"}},
+      {"metrics", report::metrics, {"compare", "histograms"}, {"entry", "slo"},
        {"RECORD.json [--entry NAME] [--histograms] "
         "[--slo \"HIST:STAT<=BOUND,...\"]",
         "--compare BASELINE.json CURRENT.json [--entry NAME]"}},
-      {"chaos", report::chaos, false, {"RECORD.json"}},
-      {"same", report::same, false, {"A.json B.json [C.json ...]"}},
+      {"chaos", report::chaos, {}, {}, {"RECORD.json"}},
+      {"same", report::same, {}, {}, {"A.json B.json [C.json ...]"}},
   };
   return kAll;
 }
@@ -92,22 +95,25 @@ void usage(const Subcommand* only) {
 int main(int argc, char** argv) {
   const Subcommand* sub = nullptr;
   try {
-    const util::Cli cli(argc, argv,
-                        {"help", "all", "wall-report", "list-metrics",
-                         "compare", "histograms"});
     for (const Subcommand& s : subcommands()) {
-      if (!cli.positional().empty() && cli.positional()[0] == s.name) {
-        sub = &s;
-      }
+      if (argc > 1 && argv[1] == s.name) sub = &s;
     }
-    if (sub == nullptr || cli.has("help")) {
+    if (sub == nullptr) {
+      usage(nullptr);
+      return 2;
+    }
+    std::vector<std::string_view> bool_flags = sub->bool_flags;
+    bool_flags.push_back("help");
+    // The subcommand stands in for the program name: Cli skips it.
+    const util::Cli cli(argc - 1, argv + 1, bool_flags, sub->value_flags);
+    if (cli.has("help")) {
       usage(sub);
       return 2;
     }
-    const report::Invocation inv{
-        cli,
-        {cli.positional().begin() + 1, cli.positional().end()},
-        sub->takes_entry ? cli.get("entry", "") : ""};
+    const bool takes_entry =
+        std::ranges::find(sub->value_flags, "entry") != sub->value_flags.end();
+    const report::Invocation inv{cli, cli.positional(),
+                                 takes_entry ? cli.get("entry", "") : ""};
     return sub->run(inv);
   } catch (const report::UsageError& e) {
     if (*e.what() == '\0') {

@@ -2,12 +2,13 @@
 //
 //   accred_report <diff|prof|race|fault|metrics|chaos|same> ARGS...
 //
-// The dispatcher (accred_report.cpp) owns the usage text, --entry
-// filtering and the exit contract; each subcommand lives in its own
-// report_*.cpp. A subcommand returns 0 (report printed, gate passed) or 1
-// (gate failed). Anything else it throws, and the dispatcher exits 2:
-// UsageError for bad usage, any other exception for unreadable or
-// malformed input. Every record comes in through obs::load_record.
+// The dispatcher (accred_report.cpp) owns the usage text, each
+// subcommand's flags, --entry filtering and the exit contract; each
+// subcommand lives in its own report_*.cpp. A subcommand returns 0
+// (report printed, gate passed) or 1 (gate failed). Anything else it
+// throws, and the dispatcher exits 2: UsageError for bad usage, any other
+// exception for unreadable or malformed input. Every record comes in
+// through obs::load_record.
 #pragma once
 
 #include <exception>

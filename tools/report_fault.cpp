@@ -1,6 +1,6 @@
 // accred_report fault — renders (and gates on) the fault-injection
-// sections of a record produced by running a bench with --faults /
-// ACCRED_FAULTS.
+// sections of a record produced by running table2_testsuite or
+// service_throughput with --faults.
 //
 //   fault RECORD.json [--entry NAME]
 //       For every entry that ran with faults armed (or just NAME): the
@@ -112,8 +112,8 @@ int fault(const Invocation& inv) {
       inv.read(inv.files[0], faulted_entries);
   if (entries.empty()) {
     throw obs::RecordError(inv.files[0] +
-                           ": no fault-armed entries (run the bench with "
-                           "--faults or ACCRED_FAULTS)");
+                           ": no fault-armed entries (run table2_testsuite "
+                           "or service_throughput with --faults)");
   }
 
   std::size_t fired = 0;

@@ -1,6 +1,6 @@
 // accred_report prof — nvprof-style per-stage profile reporting over the
-// "profile" sections of a record (schema v2, produced by running a bench
-// with --profile / ACCRED_PROFILE=1).
+// "profile" sections of a record (schema v2, produced by running
+// fig6_8_layout_ablation or fig7_tree_variants with --profile).
 //
 //   prof RECORD.json [--entry NAME]
 //       Print the per-stage counter table (requests, segments, coalescing
@@ -114,8 +114,9 @@ int prof(const Invocation& inv) {
   if (!compare) {
     if (a.empty()) {
       throw obs::RecordError(inv.files[0] +
-                             ": no profile sections (run the bench with "
-                             "--profile or ACCRED_PROFILE=1)");
+                             ": no profile sections (run "
+                             "fig6_8_layout_ablation or fig7_tree_variants "
+                             "with --profile)");
     }
     for (const ProfiledEntry& e : a) {
       std::cout << "== " << e.name << " ==\n";

@@ -1,6 +1,6 @@
 // accred_report race — renders (and gates on) the race-detection sections
-// of a record produced by running a bench with --racecheck /
-// ACCRED_RACECHECK=1.
+// of a record produced by running table2_testsuite or
+// fig6_8_layout_ablation with --racecheck.
 //
 //   race RECORD.json [--entry NAME]
 //       Print a per-entry race summary — the conflicting-pair count from
@@ -76,8 +76,8 @@ int race(const Invocation& inv) {
       inv.read(inv.files[0], checked_entries);
   if (entries.empty()) {
     throw obs::RecordError(inv.files[0] +
-                           ": no racechecked entries (run the bench with "
-                           "--racecheck or ACCRED_RACECHECK=1)");
+                           ": no racechecked entries (run table2_testsuite "
+                           "or fig6_8_layout_ablation with --racecheck)");
   }
 
   std::int64_t total = 0;
