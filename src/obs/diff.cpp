@@ -106,18 +106,14 @@ bool metric_higher_is_better(const std::string& key) {
 
 DiffReport diff_records(const Json& baseline, const Json& current,
                         const DiffOptions& opts) {
-  // Comparability gate first: two valid envelopes of the same bench.
-  // Versions inside [compat, current] are mutually comparable: bumps in
-  // that window only *add* optional sections (v3's "telemetry"), so a v2
-  // baseline still gates a v3 record.
+  // Comparability gate first: two valid envelopes (so both at the current
+  // schema version) of the same bench.
   for (const auto& [side, rec] : {std::pair{"baseline", &baseline},
                                   std::pair{"current", &current}}) {
     if (const std::string why = envelope_error(*rec); !why.empty()) {
       return schema_fail(std::string(side) + ": " + why);
     }
   }
-  const std::int64_t bv = baseline.at("schema_version").as_int();
-  const std::int64_t cv = current.at("schema_version").as_int();
   const std::string bb = baseline.at("bench").as_string();
   const std::string cb = current.at("bench").as_string();
   if (bb != cb) {
@@ -126,12 +122,6 @@ DiffReport diff_records(const Json& baseline, const Json& current,
   }
 
   DiffReport report;
-  if (bv != cv) {
-    report.notes.push_back("cross-version diff: baseline v" +
-                           std::to_string(bv) + " vs current v" +
-                           std::to_string(cv) +
-                           " (newer versions only add optional sections)");
-  }
   const Json& bentries = baseline.at("entries");
   const Json& centries = current.at("entries");
   for (const Json& be : bentries.elements()) {

@@ -78,12 +78,9 @@ std::string envelope_error(const Json& doc) {
   if (version == nullptr || version->kind() != Json::Kind::kInt) {
     return "\"schema_version\": expected an integer";
   }
-  if (const std::int64_t v = version->as_int();
-      v < kBenchSchemaCompatVersion || v > kBenchSchemaVersion) {
-    return "schema_version v" + std::to_string(v) +
-           " outside the supported range [v" +
-           std::to_string(kBenchSchemaCompatVersion) + ", v" +
-           std::to_string(kBenchSchemaVersion) + "]";
+  if (const std::int64_t v = version->as_int(); v != kBenchSchemaVersion) {
+    return "schema_version v" + std::to_string(v) + " is not the supported v" +
+           std::to_string(kBenchSchemaVersion);
   }
   const Json* entries = doc.find("entries");
   if (entries == nullptr || entries->kind() != Json::Kind::kArray) {

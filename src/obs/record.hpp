@@ -7,8 +7,8 @@
 //
 // Schema stability contract (DESIGN.md §8): field names and meanings never
 // change within a schema_version; adding fields is allowed, removing or
-// renaming bumps the version, and load_record() refuses versions outside
-// [kBenchSchemaCompatVersion, kBenchSchemaVersion].
+// renaming bumps the version, and load_record() refuses every version but
+// kBenchSchemaVersion.
 //
 // Metric-name conventions consumed by `accred_report diff`:
 //   * keys containing "wall" are host wall-clock times — informational,
@@ -37,15 +37,9 @@ inline constexpr const char* kBenchSchema = "accred.bench";
 /// by the contract above): a "races" stats counter and a per-entry "races"
 /// report array, both emitted only when the launch ran under racecheck.
 /// v3: entries may carry a "telemetry" section (a MetricsRegistry dump —
-/// service latency histograms and lifecycle counters, DESIGN.md §14),
-/// emitted only when metrics emission is on. Version history in
-/// DESIGN.md §8.
+/// service latency histograms and lifecycle counters, DESIGN.md §14);
+/// the service benches always emit it. Version history in DESIGN.md §8.
 inline constexpr std::int64_t kBenchSchemaVersion = 3;
-/// Oldest version load_record() still accepts (and `accred_report diff`
-/// still compares against the current one). v3 only *adds* an optional section, so v2 baselines stay
-/// comparable; v1 predates the profile section's stage-name stability
-/// guarantees and is refused.
-inline constexpr std::int64_t kBenchSchemaCompatVersion = 2;
 
 /// A record file that cannot be read or parsed, or whose envelope is not
 /// an accred.bench record. what() names the file.
@@ -55,9 +49,9 @@ public:
 };
 
 /// Why `doc` is not an accred.bench record, or "" when it is. The
-/// envelope every reader may rely on: schema kBenchSchema, an integer
-/// schema_version in [kBenchSchemaCompatVersion, kBenchSchemaVersion], and
-/// an "entries" array of objects, each with a string "name".
+/// envelope every reader may rely on: schema kBenchSchema, the integer
+/// schema_version kBenchSchemaVersion, and an "entries" array of objects,
+/// each with a string "name".
 [[nodiscard]] std::string envelope_error(const Json& doc);
 
 /// Read, parse and validate the record at `path`: the one record loader.

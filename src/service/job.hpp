@@ -1,9 +1,8 @@
 // Service job vocabulary: what one tenant submission to the reduction
-// service (service.hpp) looks like, and the (source -> parse -> analyze ->
-// plan) pipeline every admitted job runs. A job is a Table-2-shaped
-// reduction — position x operator x dtype at a runtime extent — expressed
-// as OpenACC directive *source text*, exactly the unit of work the front
-// half of the acc pipeline was built to consume.
+// service (service.hpp) looks like, and how every admitted job is planned.
+// A job is a Table-2-shaped reduction — position x operator x dtype at a
+// runtime extent, or a Fig. 4 chain — planned from the same annotated nest
+// the testsuite runner builds for that cell.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +28,13 @@ struct JobSpec {
   /// Reduction-loop extent (the Table 2 "r"); total volume is 64 x this.
   std::int64_t reduction_extent = 1 << 12;
   /// Cascaded-chain job: per-stage ops, innermost first (vector, worker,
-  /// gang). Empty = scalar job at `kase`. When set (must be exactly 3
-  /// ops), planning goes through plan_chained() and yields one fused
-  /// kFusedCascade plan instead of N per-level launches, and the runner
-  /// verifies it against a stage-by-stage fold with each stage's op.
-  /// `kase.pos` must then be kGangWorkerVector (the chain's geometry), and
-  /// `kase.op` only picks the input values (testsuite_value).
+  /// gang). Empty = scalar job at `kase`. When set, planning goes through
+  /// plan_chained() and yields one fused kFusedCascade plan instead of N
+  /// per-level launches, and the runner verifies it against a
+  /// stage-by-stage fold with each stage's op. plan_job refuses a list
+  /// that is not exactly 3 ops and a `kase.pos` other than
+  /// kGangWorkerVector (the chain's geometry); `kase.op` only picks the
+  /// input values (testsuite_value).
   std::vector<acc::ReductionOp> chain_ops;
   acc::LaunchConfig config{};  ///< launch geometry knobs
   /// Per-job fault-injection spec (faultinject.hpp grammar); "" = clean.
@@ -93,18 +93,13 @@ struct JobResult {
   double service_ms = 0;  ///< admission -> completion (host wall clock)
 };
 
-/// The job's directive source text: one `#pragma acc loop ...` line per
-/// loop of the nest, written the way a user of the job's compiler writes
-/// it (single clause under the auto-detect discipline, clause-on-every-
-/// spanned-level under the CAPS discipline).
-[[nodiscard]] std::vector<std::string> job_source(const JobSpec& job);
-
-/// Plan one job: render its directive source, parse it back through
-/// acc::parse_loop_directive, rebuild the annotated nest, and analyze +
-/// plan it. The service calls this for every admitted job. Throws
-/// acc::AnalysisError for cells the compiler profile rejects (robustness
-/// CE cells) and std::invalid_argument for a chain_ops list that is not
-/// exactly 3 ops.
+/// Plan one job: analyze + plan the annotated nest the testsuite builds
+/// for its cell (testsuite::plan_for_case), or its Fig. 4 chain through
+/// acc::plan_chained. The service calls this for every admitted job.
+/// Throws acc::AnalysisError for a nest the analysis rejects (e.g. a zero
+/// launch dimension) and std::invalid_argument for a chain_ops list that
+/// is not exactly 3 ops or a chain at any position but kGangWorkerVector.
+/// The Table 2 robustness model's CE cells plan like any other cell.
 [[nodiscard]] acc::ExecutionPlan plan_job(const JobSpec& job);
 
 /// RunnerOptions equivalent to this job's knobs (the executing worker

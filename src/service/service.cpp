@@ -162,7 +162,7 @@ std::size_t ReductionService::estimate_bytes(const JobSpec& spec) {
   const testsuite::CaseGeometry geo =
       testsuite::case_geometry(spec.kase.pos, spec.reduction_extent);
   const std::size_t copies =
-      spec.kase.pos != acc::Position::kSameLineGangWorkerVector ? 2 : 1;
+      testsuite::parallel_copy(spec.kase.pos, runner_options(spec)) ? 2 : 1;
   // Worst-case strategy buffers: a full gang x worker x vector global
   // staging slab plus the finalize kernel's own staging. Overestimating
   // slightly keeps admission decisions a pure function of the spec (no

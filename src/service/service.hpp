@@ -2,9 +2,8 @@
 // acc planner and the simulated device (DESIGN.md §13).
 //
 //   * a submission is a JobSpec (job.hpp) naming a reduction cell at a
-//     runtime extent, rendered to OpenACC directive source when planned;
-//     completion is async through a std::future or a callback, thousands
-//     in flight;
+//     runtime extent; completion is async through a std::future or a
+//     callback, thousands in flight;
 //   * admission control gates every submission against the simulated
 //     device's occupancy and memory budget *before* it queues — overload
 //     answers with reject-with-backpressure (JobStatus::kRejected), never
@@ -12,8 +11,8 @@
 //   * dispatch is per-tenant weighted fair queuing (start-time virtual
 //     clocks): a tenant flooding the queue gets its weight's share and no
 //     more, and never starves the others;
-//   * every admitted job is planned on its own through plan_job (the
-//     source -> parse -> analyze -> plan pipeline, ~2 us against a job's
+//   * every admitted job is planned on its own through plan_job (analyze
+//     + plan of the cell's annotated nest, under 1 us against a job's
 //     milliseconds of simulation), after admission and outside the lock;
 //   * every job executes under acc::execute_guarded on its own simulated
 //     Device, so one tenant's injected faults degrade that tenant's job
@@ -229,7 +228,7 @@ private:
   /// deterministic replacement for wall-clock queue waits (DESIGN.md §14).
   /// Slots are indexed by job id - 1 (ids are handed out in admission
   /// order), filled at completion, and consumed strictly in admission
-  /// order by advance_virtual_timeline()'s cursor, so the derived
+  /// order by complete_virtual()'s cursor, so the derived
   /// histograms never see the completion interleaving.
   /// Breaker-relevant outcome of a consumed slot: only kFailed counts
   /// toward (and kOk resets) the consecutive-failure count; kNeutral —

@@ -4,49 +4,41 @@ namespace accred::testsuite {
 
 CaseGeometry case_geometry(acc::Position pos, std::int64_t r) {
   using acc::Position;
+  constexpr int kAfter = acc::VarInfo::kHostUse;
   CaseGeometry g;
+  // The table: extents (k, j, i), accumulation level, use level.
+  const auto row = [&g](reduce::Nest3 dims, int accum, int use) {
+    g.dims = dims;
+    g.accum_level = accum;
+    g.use_level = use;
+  };
   switch (pos) {
-    case Position::kGang:
-      g.dims = {r, 2, 32};
-      g.contrib_count = r;
-      break;
-    case Position::kWorker:
-      g.dims = {2, r, 32};
-      g.contrib_count = r;
-      break;
-    case Position::kVector:
-      g.dims = {2, 32, r};
-      g.contrib_count = r;
-      break;
-    case Position::kGangWorker:
-      g.dims = {r, 2, 32};
-      g.contrib_count = r * 2;
-      break;
-    case Position::kWorkerVector:
-      g.dims = {32, 2, r};
-      g.contrib_count = 2 * r;
-      break;
-    case Position::kGangWorkerVector:
-      g.dims = {r, 2, 32};
-      g.contrib_count = r * 2 * 32;
-      break;
+    case Position::kGang: row({r, 2, 32}, 0, kAfter); break;
+    case Position::kWorker: row({2, r, 32}, 1, 0); break;
+    case Position::kVector: row({2, 32, r}, 2, 1); break;
+    case Position::kGangWorker: row({r, 2, 32}, 1, kAfter); break;
+    case Position::kWorkerVector: row({32, 2, r}, 2, 0); break;
+    case Position::kGangWorkerVector: row({r, 2, 32}, 2, kAfter); break;
     case Position::kSameLineGangWorkerVector:
-      g.dims = {1, 1, 1};
-      g.same_loop_extent = r * 64;
-      g.contrib_count = r * 64;
+      row({64 * r, 1, 1}, 0, kAfter);
       break;
   }
-  g.volume = static_cast<std::size_t>(
-      pos == Position::kSameLineGangWorkerVector
-          ? g.same_loop_extent
-          : g.dims.nk * g.dims.nj * g.dims.ni);
-  // One result slot per instance: (k, j) for the vector case, k for the
-  // worker-level ones.
-  if (pos == Position::kVector) {
-    g.out_slots = static_cast<std::size_t>(g.dims.nk * g.dims.nj);
-  } else if (pos == Position::kWorker || pos == Position::kWorkerVector) {
-    g.out_slots = static_cast<std::size_t>(g.dims.nk);
+
+  // Everything else, one formula each, over the product of the extents of
+  // levels first..last (1 when the range is empty).
+  const std::int64_t extent[3] = {g.dims.nk, g.dims.nj, g.dims.ni};
+  const auto extents = [&extent](int first, int last) {
+    std::int64_t n = 1;
+    for (int l = first; l <= last; ++l) n *= extent[l];
+    return n;
+  };
+  for (int l = 0; l < 3; ++l) {
+    if (l <= g.accum_level) g.load_stride[l] = extents(l + 1, 2);
+    if (l <= g.use_level) g.sink_stride[l] = extents(l + 1, g.use_level);
   }
+  g.contrib_count = extents(g.use_level + 1, g.accum_level);
+  g.volume = static_cast<std::size_t>(extents(0, 2));
+  g.out_slots = static_cast<std::size_t>(extents(0, g.use_level));
   return g;
 }
 

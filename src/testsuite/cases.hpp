@@ -6,11 +6,13 @@
 // paper, so times are comparable across rows.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
+#include "acc/ir.hpp"
 #include "acc/profiles.hpp"
 #include "reduce/strategy.hpp"
 
@@ -22,16 +24,33 @@ struct CaseSpec {
   acc::DataType type = acc::DataType::kInt32;
 };
 
-/// Loop extents for a case, parameterized by the reduction extent `r`
-/// (the paper's "up to 1M"; our benches default to 2^17 and offer --full).
-/// `volume` and `out_slots` size the runner's buffers, and the service's
-/// admission estimate reads the same two numbers.
+/// A position as the paper pins a reduction (§3.2): the loop extents at
+/// reduction extent `r` (the paper's "up to 1M"; our benches default to
+/// 2^17 and offer --full), the level whose body accumulates the variable,
+/// and the level where it is next used. Levels are 0 = gang, 1 = worker,
+/// 2 = vector; a use level of acc::VarInfo::kHostUse (-1) means after the
+/// region. The same-line case is one loop of extent 64r carrying all three
+/// levels, stored as (64r, 1, 1). Every other field follows from those
+/// three by one formula, and the runner's nest, loads, sinks, buffers and
+/// host reference, and the service's admission estimate, read them here.
 struct CaseGeometry {
-  reduce::Nest3 dims;                ///< (gang, worker, vector) extents
-  std::int64_t same_loop_extent = 0; ///< for the same-line case
-  std::int64_t contrib_count = 0;    ///< contributions folded per result
-  std::size_t volume = 0;            ///< input elements (nk*nj*ni or same-line)
-  std::size_t out_slots = 1;         ///< per-instance results (vector/worker)
+  reduce::Nest3 dims;  ///< (gang, worker, vector) extents
+  int accum_level = 0;
+  int use_level = acc::VarInfo::kHostUse;
+  /// Iteration (k, j, i) at the accumulation site reads input element
+  /// k*load_stride[0] + j*load_stride[1] + i*load_stride[2]: the nest's
+  /// row-major strides, 0 for every level deeper than accum_level (Fig. 4's
+  /// temp[k][0][0]). The zero strides ignore the -1 a kernel passes for a
+  /// level it does not iterate there.
+  std::array<std::int64_t, 3> load_stride{};
+  /// Instance (k, j) writes result slot k*sink_stride[0] + j*sink_stride[1]:
+  /// row-major over the levels up to use_level, 0 deeper; all 0 for a
+  /// value used after the region, which has no sink.
+  std::array<std::int64_t, 3> sink_stride{};
+  /// Contributions folded per result: the extents of levels use+1..accum.
+  std::int64_t contrib_count = 0;
+  std::size_t volume = 0;     ///< input elements, nk*nj*ni
+  std::size_t out_slots = 1;  ///< results: the extents of levels <= use
 };
 
 [[nodiscard]] CaseGeometry case_geometry(acc::Position pos, std::int64_t r);

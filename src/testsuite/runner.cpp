@@ -16,60 +16,50 @@ namespace {
 
 using acc::Position;
 
-/// Where a case's reduction variable accumulates and is next used
-/// (level indices into the canonical gang/worker/vector triple nest).
-struct CaseSemantics {
-  int accum_level;
-  int use_level;
-};
-
-CaseSemantics semantics_of(Position pos) {
-  switch (pos) {
-    case Position::kGang: return {0, acc::VarInfo::kHostUse};
-    case Position::kWorker: return {1, 0};
-    case Position::kVector: return {2, 1};
-    case Position::kGangWorker: return {1, acc::VarInfo::kHostUse};
-    case Position::kWorkerVector: return {2, 0};
-    case Position::kGangWorkerVector: return {2, acc::VarInfo::kHostUse};
-    case Position::kSameLineGangWorkerVector:
-      return {0, acc::VarInfo::kHostUse};
-  }
-  return {0, acc::VarInfo::kHostUse};
-}
-
-/// Build the nest the way a user of this discipline writes it.
+/// Build the nest the way a user of this discipline writes it: the case's
+/// loops, its variable at the geometry's two levels, and the clause on
+/// every level the reduction spans (CAPS) or only on the loop closest to
+/// the next use (OpenUH).
 acc::NestIR build_nest(Position pos, acc::ReductionOp op, acc::DataType type,
                        const CaseGeometry& geo, const acc::LaunchConfig& cfg,
                        acc::ClauseDiscipline discipline) {
   acc::NestIR nest;
   nest.config = cfg;
-  const CaseSemantics sem = semantics_of(pos);
-  const acc::ReductionClause clause{op, "red"};
-
   if (pos == Position::kSameLineGangWorkerVector) {
-    acc::LoopSpec loop;
-    loop.par = acc::Par::kGang | acc::Par::kWorker | acc::Par::kVector;
-    loop.extent = geo.same_loop_extent;
-    loop.reductions = {clause};
-    nest.loops = {loop};
+    nest.loops = {acc::LoopSpec{
+        acc::Par::kGang | acc::Par::kWorker | acc::Par::kVector,
+        geo.dims.nk,
+        {}}};
   } else {
     nest.loops = {
         acc::LoopSpec{acc::mask_of(acc::Par::kGang), geo.dims.nk, {}},
         acc::LoopSpec{acc::mask_of(acc::Par::kWorker), geo.dims.nj, {}},
         acc::LoopSpec{acc::mask_of(acc::Par::kVector), geo.dims.ni, {}},
     };
-    if (discipline == acc::ClauseDiscipline::kExplicitAllLevels) {
-      for (int l = sem.use_level + 1; l <= sem.accum_level; ++l) {
-        nest.loops[static_cast<std::size_t>(l)].reductions = {clause};
-      }
-    } else {
-      // OpenUH style: one clause on the loop closest to the next use.
-      nest.loops[static_cast<std::size_t>(sem.use_level + 1)].reductions = {
-          clause};
-    }
   }
-  nest.vars = {{"red", type, sem.accum_level, sem.use_level}};
+  const acc::ReductionClause clause{op, "red"};
+  const int first = geo.use_level + 1;
+  const int last = discipline == acc::ClauseDiscipline::kExplicitAllLevels
+                       ? geo.accum_level
+                       : first;
+  for (int l = first; l <= last; ++l) {
+    nest.loops[static_cast<std::size_t>(l)].reductions = {clause};
+  }
+  nest.vars = {{"red", type, geo.accum_level, geo.use_level}};
   return nest;
+}
+
+/// What a mismatch names: "scalar" for a value used after the region, else
+/// the levels one instance folds ("worker-vector instance").
+std::string instance_label(const CaseGeometry& geo) {
+  if (geo.use_level == acc::VarInfo::kHostUse) return "scalar";
+  static constexpr const char* kLevelName[] = {"gang", "worker", "vector"};
+  std::string label;
+  for (int l = geo.use_level + 1; l <= geo.accum_level; ++l) {
+    if (!label.empty()) label += '-';
+    label += kLevelName[l];
+  }
+  return label + " instance";
 }
 
 /// FNV-1a fold over raw bytes (result fingerprinting).
@@ -214,9 +204,11 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
   apply_sim_options(plan.strategy, opts);
 
   const std::size_t volume = geo.volume;
-  const bool copy_work =
-      opts.parallel_work && spec.pos != Position::kSameLineGangWorkerVector;
+  const bool copy_work = parallel_copy(spec.pos, opts);
   const auto [nk, nj, ni] = geo.dims;
+  const auto [lk, lj, li] = geo.load_stride;
+  const std::int64_t sk = geo.sink_stride[0];
+  const std::int64_t sj = geo.sink_stride[1];
 
   const auto launch = [&](gpusim::Device& dev, const CellBuffers<T>& bufs,
                           const acc::LaunchConfig& cfg,
@@ -234,47 +226,15 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
         ctx.st(temp_view, idx, ctx.ld(in_view, idx));
       };
     }
-    switch (spec.pos) {
-      case Position::kGang:
-        b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                        std::int64_t) {
-          return ctx.ld(in_view, static_cast<std::size_t>(k * nj * ni));
-        };
-        break;
-      case Position::kWorker:
-      case Position::kGangWorker:
-        b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                        std::int64_t j, std::int64_t) {
-          return ctx.ld(in_view, static_cast<std::size_t>((k * nj + j) * ni));
-        };
-        break;
-      case Position::kVector:
-      case Position::kWorkerVector:
-      case Position::kGangWorkerVector:
-        b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                        std::int64_t j, std::int64_t i) {
-          return ctx.ld(in_view,
-                        static_cast<std::size_t>((k * nj + j) * ni + i));
-        };
-        break;
-      case Position::kSameLineGangWorkerVector:
-        b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx,
-                        std::int64_t, std::int64_t) {
-          return ctx.ld(in_view, static_cast<std::size_t>(idx));
-        };
-        break;
-    }
-    if (spec.pos == Position::kVector) {
+    b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
+                    std::int64_t i) {
+      return ctx.ld(in_view,
+                    static_cast<std::size_t>(k * lk + j * lj + i * li));
+    };
+    if (geo.use_level != acc::VarInfo::kHostUse) {
       b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                    T r) {
-        ctx.st(out_view, static_cast<std::size_t>(k * nj + j), r);
-      };
-    } else if (spec.pos == Position::kWorker ||
-               spec.pos == Position::kWorkerVector) {
-      // Both positions produce one result per gang (k) instance.
-      b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                   T r) {
-        ctx.st(out_view, static_cast<std::size_t>(k), r);
+        ctx.st(out_view, static_cast<std::size_t>(k * sk + j * sj), r);
       };
     }
     plan.launch = cfg;
@@ -294,20 +254,12 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
   using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
   const acc::RuntimeOp<Acc> rop_acc{spec.op};
   const acc::RuntimeOp<T> rop{spec.op};
+  const std::string label = instance_label(geo);
   const auto check = [&](const CellBuffers<T>& bufs,
                          const reduce::ReduceResult<T>& res,
                          std::string& why) {
     const auto host_in = bufs.input.host_span();
     const auto host_out = bufs.result.host_span();
-    auto fold_strided = [&](std::size_t base, std::size_t stride,
-                            std::size_t count) {
-      Acc acc_v = rop_acc.identity();
-      for (std::size_t i = 0; i < count; ++i) {
-        acc_v = rop_acc.apply(acc_v,
-                              static_cast<Acc>(host_in[base + i * stride]));
-      }
-      return static_cast<T>(acc_v);
-    };
     // A fused chain (nest_for_chain: i_sum -> j_sum -> sum) folds stage by
     // stage, innermost first, each stage with its own operator.
     auto fold_chain = [&] {
@@ -332,59 +284,36 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
 
     bool ok = true;
     std::ostringstream detail;
-    auto expect = [&](T want, T actual, const char* what) {
+    auto expect = [&](T want, T actual) {
       if (!reduction_result_matches(want, actual,
                                     static_cast<std::uint64_t>(
                                         geo.contrib_count))) {
         ok = false;
-        detail << what << ": expected " << want << " got " << actual << "; ";
+        detail << label << ": expected " << want << " got " << actual
+               << "; ";
       }
     };
 
-    switch (spec.pos) {
-      case Position::kGang:
-        expect(fold_strided(0, static_cast<std::size_t>(nj * ni),
-                            static_cast<std::size_t>(nk)),
-               res.scalar.value_or(rop.identity()), "scalar");
-        break;
-      case Position::kGangWorker:
-        expect(fold_strided(0, static_cast<std::size_t>(ni),
-                            static_cast<std::size_t>(nk * nj)),
-               res.scalar.value_or(rop.identity()), "scalar");
-        break;
-      case Position::kGangWorkerVector:
-      case Position::kSameLineGangWorkerVector:
-        expect(plan.kind == acc::StrategyKind::kFusedCascade
-                   ? fold_chain()
-                   : fold_strided(0, 1, volume),
-               res.scalar.value_or(rop.identity()), "scalar");
-        break;
-      case Position::kWorker:
-        for (std::int64_t k = 0; k < nk; ++k) {
-          expect(fold_strided(static_cast<std::size_t>(k * nj * ni),
-                              static_cast<std::size_t>(ni),
-                              static_cast<std::size_t>(nj)),
-                 host_out[static_cast<std::size_t>(k)], "worker instance");
+    if (plan.kind == acc::StrategyKind::kFusedCascade) {
+      expect(fold_chain(), res.scalar.value_or(rop.identity()));
+    } else {
+      // Instance s, in row-major order over the levels up to the use
+      // level, is result slot s. It folds levels use+1..accum in row-major
+      // order with the deeper levels at 0, which are input elements
+      // (s * contrib_count + c) * load_stride[accum_level].
+      const bool scalar = geo.use_level == acc::VarInfo::kHostUse;
+      const auto count = static_cast<std::size_t>(geo.contrib_count);
+      const auto step = static_cast<std::size_t>(
+          geo.load_stride[static_cast<std::size_t>(geo.accum_level)]);
+      for (std::size_t s = 0; s < geo.out_slots; ++s) {
+        Acc acc_v = rop_acc.identity();
+        for (std::size_t c = 0; c < count; ++c) {
+          acc_v = rop_acc.apply(
+              acc_v, static_cast<Acc>(host_in[(s * count + c) * step]));
         }
-        break;
-      case Position::kVector:
-        for (std::int64_t k = 0; k < nk; ++k) {
-          for (std::int64_t j = 0; j < nj; ++j) {
-            expect(fold_strided(static_cast<std::size_t>((k * nj + j) * ni),
-                                1, static_cast<std::size_t>(ni)),
-                   host_out[static_cast<std::size_t>(k * nj + j)],
-                   "vector instance");
-          }
-        }
-        break;
-      case Position::kWorkerVector:
-        for (std::int64_t k = 0; k < nk; ++k) {
-          expect(fold_strided(static_cast<std::size_t>(k * nj * ni), 1,
-                              static_cast<std::size_t>(nj * ni)),
-                 host_out[static_cast<std::size_t>(k)],
-                 "worker-vector instance");
-        }
-        break;
+        expect(static_cast<T>(acc_v),
+               scalar ? res.scalar.value_or(rop.identity()) : host_out[s]);
+      }
     }
 
     // Spot-check the parallel copy actually happened.
@@ -539,6 +468,10 @@ acc::NestIR nest_for_case(const CaseSpec& spec, const RunnerOptions& opts,
   const CaseGeometry geo = case_geometry(spec.pos, opts.reduction_extent);
   return build_nest(spec.pos, spec.op, spec.type, geo, opts.config,
                     discipline);
+}
+
+bool parallel_copy(acc::Position pos, const RunnerOptions& opts) {
+  return opts.parallel_work && pos != Position::kSameLineGangWorkerVector;
 }
 
 acc::ExecutionPlan plan_for_case(acc::CompilerId id, const CaseSpec& spec,

@@ -92,6 +92,12 @@ struct CaseOutcome {
                                         const RunnerOptions& opts,
                                         acc::ClauseDiscipline discipline);
 
+/// Whether a case runs the Fig. 4 parallel copy (temp = input), and so
+/// allocates `temp`: at every position but same-line, whose one loop
+/// leaves no level outside the reduction, when `opts.parallel_work` is on.
+/// The service's admission estimate reads the same answer.
+[[nodiscard]] bool parallel_copy(acc::Position pos, const RunnerOptions& opts);
+
 /// Analyze + plan a case under a compiler profile.
 [[nodiscard]] acc::ExecutionPlan plan_for_case(acc::CompilerId id,
                                                const CaseSpec& spec,

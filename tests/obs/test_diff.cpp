@@ -113,32 +113,31 @@ TEST(Diff, FutureSchemaVersionIsNotComparable) {
 
 TEST(Diff, V1BaselineAgainstCurrentExitsTwo) {
   // The concrete migration case: a committed pre-profiler baseline
-  // (schema_version 1) predates the compat floor and must refuse to
-  // compare, not silently pass — baselines have to be regenerated.
+  // (schema_version 1) must refuse to compare, not silently pass —
+  // baselines have to be regenerated.
   Json base = make_record(2.0);
   base.set("schema_version", std::int64_t{1});
-  static_assert(kBenchSchemaCompatVersion == 2);
   const DiffReport r = diff_records(base, make_record(2.0));
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_FALSE(r.schema_error.empty());
 }
 
-TEST(Diff, V2BaselineAgainstV3CurrentStaysComparable) {
-  // v3 only adds the optional "telemetry" section, so a committed v2
-  // baseline still gates a v3 record — with a cross-version note, and
-  // regressions still detected.
+TEST(Diff, V2RecordOnEitherSideExitsTwo) {
+  // Only the current version is read: a v2 record is refused as a
+  // baseline and as a current record alike.
   static_assert(kBenchSchemaVersion == 3);
-  Json base = make_record(2.0);
-  base.set("schema_version", std::int64_t{2});
-  const DiffReport same = diff_records(base, make_record(2.0));
-  EXPECT_EQ(same.exit_code, 0);
-  ASSERT_FALSE(same.notes.empty());
-  EXPECT_NE(same.notes[0].find("cross-version"), std::string::npos);
-  EXPECT_EQ(diff_records(base, make_record(4.0)).exit_code, 1);
-  // And symmetrically: a v3 baseline against a v2 current.
-  Json old_cur = make_record(2.0);
-  old_cur.set("schema_version", std::int64_t{2});
-  EXPECT_EQ(diff_records(make_record(2.0), old_cur).exit_code, 0);
+  Json old = make_record(2.0);
+  old.set("schema_version", std::int64_t{2});
+  const DiffReport as_base = diff_records(old, make_record(2.0));
+  EXPECT_EQ(as_base.exit_code, 2);
+  EXPECT_NE(as_base.schema_error.find("baseline: schema_version v2"),
+            std::string::npos)
+      << as_base.schema_error;
+  const DiffReport as_cur = diff_records(make_record(2.0), old);
+  EXPECT_EQ(as_cur.exit_code, 2);
+  EXPECT_NE(as_cur.schema_error.find("current: schema_version v2"),
+            std::string::npos)
+      << as_cur.schema_error;
 }
 
 TEST(Diff, BenchNameMismatchIsNotComparable) {

@@ -1,7 +1,7 @@
-// Service job planning (service/job.hpp): plan_job renders a job's
-// directive source, parses it back, and plans it. Its plans must match the
-// testsuite's own planning of the same cell field for field, a 3-op chain
-// must lower to one fused cascade, and a malformed chain must be refused.
+// Service job planning (service/job.hpp): plan_job plans a job's annotated
+// nest. Its plans must match the testsuite's own planning of the same cell
+// field for field, a 3-op chain must lower to one fused cascade, and a
+// malformed chain or one at the wrong position must be refused.
 #include "service/job.hpp"
 
 #include <gtest/gtest.h>
@@ -55,6 +55,27 @@ TEST(PlanJob, ThreeOpChainPlansOneFusedCascade) {
   EXPECT_EQ(plan.chain[0].level, acc::Par::kVector);
   EXPECT_EQ(plan.chain[1].level, acc::Par::kWorker);
   EXPECT_EQ(plan.chain[2].level, acc::Par::kGang);
+}
+
+TEST(PlanJob, ChainAtAnotherPositionIsRefused) {
+  // The runner binds a job's loads and host reference at kase.pos, so a
+  // chain anywhere but the gang-worker-vector geometry it is planned at
+  // is refused before anything launches.
+  for (const acc::Position pos : testsuite::all_positions()) {
+    if (pos == acc::Position::kGangWorkerVector) continue;
+    SCOPED_TRACE(std::string(acc::to_string(pos)));
+    JobSpec job = make_job("t", pos);
+    job.chain_ops = {acc::ReductionOp::kSum, acc::ReductionOp::kSum,
+                     acc::ReductionOp::kSum};
+    try {
+      (void)plan_job(job);
+      ADD_FAILURE() << "a chain at this position must not plan";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(std::string(e.what()).ends_with(
+          "not at " + std::string(acc::to_string(pos))))
+          << e.what();
+    }
+  }
 }
 
 TEST(PlanJob, TwoOpChainIsRefused) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "testsuite/report.hpp"
 
@@ -102,12 +105,53 @@ TEST(Runner, GeometryMovesSameVolumeEverywhere) {
   const std::int64_t r = 1 << 10;
   for (acc::Position pos : all_positions()) {
     const CaseGeometry g = case_geometry(pos, r);
-    const std::int64_t nest_volume =
-        pos == acc::Position::kSameLineGangWorkerVector
-            ? g.same_loop_extent
-            : g.dims.nk * g.dims.nj * g.dims.ni;
-    EXPECT_EQ(nest_volume, 64 * r) << to_string(pos);
+    EXPECT_EQ(g.dims.nk * g.dims.nj * g.dims.ni, 64 * r) << to_string(pos);
     EXPECT_EQ(g.volume, static_cast<std::size_t>(64 * r)) << to_string(pos);
+  }
+}
+
+TEST(Runner, PositionTableStatesThePaperNests) {
+  // Each Table 2 position at r = 4, written out by hand from its loop
+  // extents and its accumulation and use levels (0 = gang, 1 = worker,
+  // 2 = vector, -1 = after the region).
+  struct Row {
+    acc::Position pos;
+    std::array<std::int64_t, 3> dims;
+    int accum, use;
+    std::array<std::int64_t, 3> load, sink;
+    std::int64_t contribs;
+    std::size_t slots;
+  };
+  using P = acc::Position;
+  const Row rows[] = {
+      {P::kGang, {4, 2, 32}, 0, -1, {64, 0, 0}, {0, 0, 0}, 4, 1},
+      {P::kWorker, {2, 4, 32}, 1, 0, {128, 32, 0}, {1, 0, 0}, 4, 2},
+      {P::kVector, {2, 32, 4}, 2, 1, {128, 4, 1}, {32, 1, 0}, 4, 64},
+      {P::kGangWorker, {4, 2, 32}, 1, -1, {64, 32, 0}, {0, 0, 0}, 8, 1},
+      {P::kWorkerVector, {32, 2, 4}, 2, 0, {8, 4, 1}, {1, 0, 0}, 8, 32},
+      {P::kGangWorkerVector, {4, 2, 32}, 2, -1, {64, 32, 1}, {0, 0, 0}, 256,
+       1},
+      {P::kSameLineGangWorkerVector, {256, 1, 1}, 0, -1, {1, 0, 0},
+       {0, 0, 0}, 256, 1},
+  };
+  ASSERT_EQ(std::size(rows), all_positions().size());
+  for (const Row& want : rows) {
+    SCOPED_TRACE(std::string(to_string(want.pos)));
+    const CaseGeometry g = case_geometry(want.pos, 4);
+    EXPECT_EQ((std::array{g.dims.nk, g.dims.nj, g.dims.ni}), want.dims);
+    EXPECT_EQ(g.accum_level, want.accum);
+    EXPECT_EQ(g.use_level, want.use);
+    EXPECT_EQ(g.load_stride, want.load);
+    EXPECT_EQ(g.sink_stride, want.sink);
+    EXPECT_EQ(g.contrib_count, want.contribs);
+    EXPECT_EQ(g.out_slots, want.slots);
+  }
+  // The gang kernel loads at (k, -1, -1) and the zero strides ignore the
+  // -1s, so it reads Fig. 4's temp[k][0][0]: elements 0, 64, 128 and 192.
+  const auto [sk, sj, si] = case_geometry(P::kGang, 4).load_stride;
+  const std::int64_t gang_reads[] = {0, 64, 128, 192};
+  for (std::int64_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(k * sk - sj - si, gang_reads[k]);
   }
 }
 

@@ -1,13 +1,14 @@
 // Tests for util::tool_main, the one main of every bench and example: the
 // exit-code contract (the body's code, 1 for a failed record write, 3
 // for an escaping exception or an unknown flag), --sim-threads as the
-// process default, and the partial record an exception still leaves
-// behind.
+// process default, --trace writing the body's spans, and the partial
+// record an exception still leaves behind.
 #include "util/main_guard.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "gpusim/pool.hpp"
+#include "obs/json.hpp"
 #include "obs/record.hpp"
+#include "obs/trace.hpp"
 
 namespace accred {
 namespace {
@@ -138,6 +141,35 @@ TEST(ToolMain, EscapingExceptionExitsThreeAndKeepsThePartialRecord) {
   ASSERT_EQ(doc.at("entries").size(), 1u);
   EXPECT_EQ(doc.at("entries").elements()[0].at("name").as_string(),
             "before_the_throw");
+}
+
+TEST(ToolMain, TraceFlagWritesTheTrace) {
+  const std::string path = testing::TempDir() + "tool_main_trace.json";
+  std::remove(path.c_str());
+  const Outcome o = run_tool(
+      {"--trace", path}, [](const util::Cli&, obs::RunRecord&) {
+        obs::trace_complete("tool_main_probe", 0, obs::trace_now_us(), 1.0);
+        return 0;
+      });
+  obs::trace_reset();
+  EXPECT_EQ(o.code, 0);
+  EXPECT_NE(o.err.find("[obs] wrote trace " + path), std::string::npos)
+      << o.err;
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const obs::Json doc = obs::Json::parse(text.str());
+  int probes = 0;
+  for (const obs::Json& ev : doc.at("traceEvents").elements()) {
+    const obs::Json* name = ev.find("name");
+    if (name != nullptr && name->as_string() == "tool_main_probe") {
+      EXPECT_EQ(ev.at("ph").as_string(), "X");
+      ++probes;
+    }
+  }
+  EXPECT_EQ(probes, 1);
+  std::remove(path.c_str());
 }
 
 TEST(ToolMain, NonStandardExceptionExitsThree) {
