@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "acc/profiles.hpp"
+
 namespace accred::service {
 
 std::string_view to_string(JobStatus s) {
@@ -31,6 +33,19 @@ testsuite::RunnerOptions runner_options(const JobSpec& job) {
 }
 
 acc::ExecutionPlan plan_job(const JobSpec& job) {
+  // A cell the job's compiler cannot compile (a Table 2 CE cell) has no
+  // plan. The runner would refuse it without launching anything, so refuse
+  // it here, with the reason, before it takes a queue slot or a worker.
+  if (acc::table2_robustness(job.compiler, job.kase.pos, job.kase.op,
+                             job.kase.type) ==
+      acc::Robustness::kCompileError) {
+    throw std::invalid_argument(
+        std::string(acc::to_string(job.compiler)) +
+        " does not compile the " + std::string(acc::to_string(job.kase.pos)) +
+        " " + std::string(acc::to_string(job.kase.op)) + " " +
+        std::string(acc::to_string(job.kase.type)) +
+        " cell (a Table 2 compile error)");
+  }
   const testsuite::RunnerOptions opts = runner_options(job);
   if (job.chain_ops.empty()) {
     return testsuite::plan_for_case(job.compiler, job.kase, opts);

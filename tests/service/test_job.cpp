@@ -1,7 +1,8 @@
 // Service job planning (service/job.hpp): plan_job plans a job's annotated
 // nest. Its plans must match the testsuite's own planning of the same cell
 // field for field, a 3-op chain must lower to one fused cascade, and a
-// malformed chain or one at the wrong position must be refused.
+// malformed chain, one at the wrong position or a compile-error cell must
+// be refused.
 #include "service/job.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "acc/profiles.hpp"
 #include "service_test_util.hpp"
 #include "testsuite/cases.hpp"
 #include "testsuite/runner.hpp"
@@ -24,6 +26,11 @@ TEST(PlanJob, MatchesTestsuitePlanOnTheFullGrid) {
        {acc::CompilerId::kOpenUH, acc::CompilerId::kCapsLike,
         acc::CompilerId::kPgiLike}) {
     for (const testsuite::CaseSpec& kase : testsuite::full_grid()) {
+      // A compile-error cell has no plan (CompileErrorCellIsRefused).
+      if (acc::table2_robustness(id, kase.pos, kase.op, kase.type) ==
+          acc::Robustness::kCompileError) {
+        continue;
+      }
       for (const std::int64_t extent : {256, 1000, 4096}) {
         JobSpec job = make_job("t", kase.pos, extent);
         job.compiler = id;
@@ -75,6 +82,27 @@ TEST(PlanJob, ChainAtAnotherPositionIsRefused) {
           "not at " + std::string(acc::to_string(pos))))
           << e.what();
     }
+  }
+}
+
+TEST(PlanJob, CompileErrorCellIsRefused) {
+  // pgi_like's gang-worker-vector + cell is a Table 2 CE cell: planning
+  // refuses it and names the compiler and the cell.
+  JobSpec job = make_job("t", acc::Position::kGangWorkerVector);
+  job.compiler = acc::CompilerId::kPgiLike;
+  job.kase.type = acc::DataType::kFloat;
+  ASSERT_EQ(acc::table2_robustness(job.compiler, job.kase.pos, job.kase.op,
+                                   job.kase.type),
+            acc::Robustness::kCompileError);
+  try {
+    (void)plan_job(job);
+    ADD_FAILURE() << "a compile-error cell must not plan";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(acc::to_string(job.compiler)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(acc::to_string(job.kase.pos)), std::string::npos)
+        << what;
   }
 }
 

@@ -68,6 +68,19 @@ TEST(Service, MixedOperatorChainVerifiesAgainstItsOwnStages) {
   EXPECT_EQ(r.outcome.attempts, 1);
 }
 
+TEST(Service, CompileErrorCellFailsAtPlanning) {
+  // A Table 2 CE cell settles kFailed with the planner's reason instead of
+  // an empty detail from a runner that launched nothing.
+  ReductionService svc;
+  JobSpec job = make_job("t", acc::Position::kGangWorkerVector);
+  job.compiler = acc::CompilerId::kPgiLike;
+  const JobResult r = svc.submit(std::move(job)).get();
+  EXPECT_EQ(r.status, JobStatus::kFailed);
+  EXPECT_TRUE(r.outcome.detail.starts_with("planning failed: pgi_like "))
+      << r.outcome.detail;
+  EXPECT_EQ(r.outcome.kernels, 0);
+}
+
 TEST(Service, DrainWaitsForEveryAdmittedJob) {
   ServiceConfig cfg;
   cfg.workers = 2;
