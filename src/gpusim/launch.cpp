@@ -19,11 +19,12 @@ struct alignas(64) ShardState {
   std::exception_ptr error;
 };
 
-}  // namespace
-
-LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
-                   std::size_t shared_bytes, const KernelFn& kernel,
-                   const SimOptions& opts) {
+/// The launch driver for either kernel form; BlockScheduler::run_block
+/// picks the warp kernel's width per block.
+template <typename Kernel>
+LaunchStats launch_impl(Device& dev, Dim3 grid, Dim3 block,
+                        std::size_t shared_bytes, const Kernel& kernel,
+                        const SimOptions& opts) {
   validate_launch(grid, block, shared_bytes, dev.limits());
 
   // Client cancellation (pool.hpp CancelToken): consume one scheduled
@@ -258,6 +259,20 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
     obs::trace_end(0);
   }
   return stats;
+}
+
+}  // namespace
+
+LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
+                   std::size_t shared_bytes, const KernelFn& kernel,
+                   const SimOptions& opts) {
+  return launch_impl(dev, grid, block, shared_bytes, kernel, opts);
+}
+
+LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
+                   std::size_t shared_bytes, const WarpKernelFn& kernel,
+                   const SimOptions& opts) {
+  return launch_impl(dev, grid, block, shared_bytes, kernel, opts);
 }
 
 }  // namespace accred::gpusim

@@ -70,6 +70,9 @@ struct BlockState {
   bool barrier_site_mismatch = false;   ///< threads met at *different*
                                         ///< syncthreads call sites (CUDA UB)
   bool strict_barriers = false;         ///< throw on the above instead
+  /// The block runs a warp kernel on one fiber per warp (warp_ctx.hpp).
+  /// Its ThreadCtx objects are then per-lane views that must not park.
+  bool warp_fibers = false;
 };
 
 class ThreadCtx {
@@ -96,6 +99,7 @@ public:
 
   /// Block-wide barrier (__syncthreads).
   void syncthreads() {
+    if (block_->warp_fibers) [[unlikely]] throw_lane_barrier("syncthreads");
     if (block_->faults != nullptr) {
       block_->faults->on_instr(tid_, cur_stage(), block_->barrier_seq[tid_]);
       // An injected skip_barrier makes this thread sail past its nth
@@ -115,6 +119,7 @@ public:
   /// warps); required in the simulator wherever real code relies on warp
   /// lockstep, e.g. the unrolled last-warp tree steps of §3.1.1.
   void syncwarp() {
+    if (block_->warp_fibers) [[unlikely]] throw_lane_barrier("syncwarp");
     if (block_->faults != nullptr) {
       block_->faults->on_instr(tid_, cur_stage(), block_->barrier_seq[tid_]);
     }
@@ -266,6 +271,8 @@ public:
   }
 
 private:
+  friend class WarpCtx;
+
   /// Park this lane, on the fiber it holds, until the scheduler's next pass
   /// re-enters it: one switch, straight into the next lane of the pass.
   void suspend() { block_->chain->park(); }
@@ -285,6 +292,13 @@ private:
                             std::to_string(i) + " in " + where + " of " +
                             std::to_string(size) + " elements");
   }
+  [[noreturn, gnu::noinline, gnu::cold]] static void throw_lane_barrier(
+      const char* which) {
+    throw std::logic_error(
+        std::string(which) +
+        " called through a lane view of a warp kernel running one fiber per "
+        "warp; per-lane callbacks must not synchronize");
+  }
   [[noreturn, gnu::noinline, gnu::cold]] static void throw_slab_end(
       const char* what) {
     throw std::out_of_range(std::string(what) +
@@ -292,7 +306,8 @@ private:
   }
 
   template <typename T>
-  void check_global(const GlobalView<T>& v, std::size_t i, const char* what) {
+  static void check_global(const GlobalView<T>& v, std::size_t i,
+                           const char* what) {
     if (i >= v.size) [[unlikely]] throw_oob(what, "buffer", i, v.size);
   }
 
