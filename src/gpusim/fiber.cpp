@@ -10,6 +10,10 @@
 #if defined(ACCRED_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(ACCRED_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace accred::gpusim {
 
@@ -56,6 +60,21 @@ std::exception_ptr Fiber::capture_current_exception() {
 #define ACCRED_TSAN_IN(fib) (void)0
 #define ACCRED_TSAN_OUT(fib) (void)0
 #define ACCRED_TSAN_TO(ctx) (void)0
+#endif
+
+// ASan likewise: the side leaving a stack announces the target stack right
+// before the switch (ACCRED_ASAN_LEAVE; a null save slot means the leaving
+// context never runs again), and the side arriving confirms right after it
+// (ACCRED_ASAN_ARRIVE), learning the stack it came from. No-ops in regular
+// builds.
+#if defined(ACCRED_ASAN_FIBERS)
+#define ACCRED_ASAN_LEAVE(save, bottom, size) \
+  __sanitizer_start_switch_fiber((save), (bottom), (size))
+#define ACCRED_ASAN_ARRIVE(fake, bottom_old, size_old) \
+  __sanitizer_finish_switch_fiber((fake), (bottom_old), (size_old))
+#else
+#define ACCRED_ASAN_LEAVE(save, bottom, size) (void)0
+#define ACCRED_ASAN_ARRIVE(fake, bottom_old, size_old) (void)0
 #endif
 
 Fiber* Fiber::current() noexcept { return tls_current; }
@@ -105,6 +124,11 @@ inline void switch_context(detail::MachineContext& save,
 }  // namespace
 
 void Fiber::prepare_stack() {
+#if defined(ACCRED_ASAN_FIBERS)
+  // An abandoned lane's frames may still be poisoned; the fresh frame
+  // below (and everything the next lane runs) must not trip over them.
+  __asan_unpoison_memory_region(stack_base_, stack_size_);
+#endif
   // Build an initial stack frame such that accred_ctx_switch's epilogue
   // (six pops + ret) lands in trampoline() with a 16-byte-misaligned rsp,
   // matching the ABI state at a normal function entry.
@@ -134,6 +158,9 @@ inline void switch_context(detail::MachineContext& save,
 }  // namespace
 
 void Fiber::prepare_stack() {
+#if defined(ACCRED_ASAN_FIBERS)
+  __asan_unpoison_memory_region(stack_base_, stack_size_);
+#endif
   getcontext(&self_ctx_);
   self_ctx_.uc_stack.ss_sp = stack_base_;
   self_ctx_.uc_stack.ss_size = stack_size_;
@@ -175,6 +202,8 @@ Fiber::~Fiber() {
 
 void Fiber::trampoline() {
   Fiber* self = tls_current;
+  ACCRED_ASAN_ARRIVE(nullptr, &self->asan_caller_bottom_,
+                     &self->asan_caller_size_);
   // Exceptions cannot unwind through a stack switch, so capture them and
   // rethrow on the resumer's side. FastChain's lane_loop() never returns
   // here, so this handler only serves the resume()/yield() protocol.
@@ -189,7 +218,11 @@ void Fiber::trampoline() {
   // anyway, keep handing control back instead of aborting the process.
   for (;;) {
     ACCRED_TSAN_OUT(self);
+    ACCRED_ASAN_LEAVE(nullptr, self->asan_caller_bottom_,
+                      self->asan_caller_size_);
     switch_context(self->self_ctx_, self->caller_ctx_);
+    ACCRED_ASAN_ARRIVE(nullptr, &self->asan_caller_bottom_,
+                       &self->asan_caller_size_);
   }
 }
 
@@ -207,7 +240,9 @@ void Fiber::resume() {
   Fiber* prev = tls_current;
   tls_current = this;
   ACCRED_TSAN_IN(this);
+  ACCRED_ASAN_LEAVE(&asan_caller_fake_, stack_base_, stack_size_);
   switch_context(caller_ctx_, self_ctx_);
+  ACCRED_ASAN_ARRIVE(asan_caller_fake_, nullptr, nullptr);
   tls_current = prev;
   if (done_ && eptr_) {
     std::exception_ptr e = std::exchange(eptr_, nullptr);
@@ -219,10 +254,35 @@ void Fiber::yield() {
   Fiber* self = tls_current;
   assert(self != nullptr && "yield() outside any fiber");
   ACCRED_TSAN_OUT(self);
+  ACCRED_ASAN_LEAVE(&self->asan_fake_, self->asan_caller_bottom_,
+                    self->asan_caller_size_);
   switch_context(self->self_ctx_, self->caller_ctx_);
+  ACCRED_ASAN_ARRIVE(self->asan_fake_, &self->asan_caller_bottom_,
+                     &self->asan_caller_size_);
 }
 
 // ---- FastChain: lanes on lazily bound pooled fibers ----------------------
+
+#if defined(ACCRED_ASAN_FIBERS)
+void FastChain::asan_arrived(const void* from_bottom,
+                             std::size_t from_size) noexcept {
+  if (asan_sched_pending_) {
+    asan_sched_bottom_ = from_bottom;
+    asan_sched_size_ = from_size;
+    asan_sched_pending_ = false;
+  }
+}
+// A pool fiber resumed inside enter_next(): confirm the switch to ASan.
+#define ACCRED_ASAN_CHAIN_ARRIVE(self)                                \
+  do {                                                                \
+    const void* from_bottom = nullptr;                                \
+    std::size_t from_size = 0;                                        \
+    ACCRED_ASAN_ARRIVE((self)->asan_fake_, &from_bottom, &from_size); \
+    asan_arrived(from_bottom, from_size);                             \
+  } while (false)
+#else
+#define ACCRED_ASAN_CHAIN_ARRIVE(self) (void)0
+#endif
 
 void FastChain::reset(std::span<const std::unique_ptr<Fiber>> pool) {
   free_.clear();
@@ -265,7 +325,12 @@ void FastChain::run(const std::uint32_t* order, std::uint32_t count) {
   tsan_sched_ = __tsan_get_current_fiber();
 #endif
   ACCRED_TSAN_TO(first->tsan_fiber_);
+#if defined(ACCRED_ASAN_FIBERS)
+  asan_sched_pending_ = true;
+#endif
+  ACCRED_ASAN_LEAVE(&asan_sched_fake_, first->stack_base_, first->stack_size_);
   switch_context(sched_ctx_, first->self_ctx_);
+  ACCRED_ASAN_ARRIVE(asan_sched_fake_, nullptr, nullptr);
   tls_current = prev;
   if (eptr_) std::rethrow_exception(std::exchange(eptr_, nullptr));
 }
@@ -278,18 +343,28 @@ void FastChain::enter_next(Fiber* self) {
     current_ = to;
     tls_current = to;
     ACCRED_TSAN_TO(to->tsan_fiber_);
+    ACCRED_ASAN_LEAVE(&self->asan_fake_, to->stack_base_, to->stack_size_);
     switch_context(self->self_ctx_, to->self_ctx_);
+    ACCRED_ASAN_CHAIN_ARRIVE(self);
     return;  // `self` was entered again: its parked lane resumes, or it
              // was lent to start lane_
   }
   ACCRED_TSAN_TO(tsan_sched_);
+  ACCRED_ASAN_LEAVE(&self->asan_fake_, asan_sched_bottom_, asan_sched_size_);
   switch_context(self->self_ctx_, sched_ctx_);
+  ACCRED_ASAN_CHAIN_ARRIVE(self);
 }
 
 void FastChain::park() { enter_next(current_); }
 
 void FastChain::lane_loop(void* chain) {
   FastChain& c = *static_cast<FastChain*>(chain);
+#if defined(ACCRED_ASAN_FIBERS)
+  // A fresh fiber arrives in trampoline(), which recorded where it came
+  // from.
+  c.asan_arrived(c.current_->asan_caller_bottom_,
+                 c.current_->asan_caller_size_);
+#endif
   for (;;) {
     const std::uint32_t lane = c.lane_;
     try {

@@ -39,6 +39,18 @@
 #endif
 #endif
 
+// AddressSanitizer tracks one stack per thread unless told about every
+// switch; under -fsanitize=address (the -DACCRED_ASAN=ON preset) each
+// switch is annotated with ASan's fiber API, so exceptions unwinding on a
+// fiber and re-armed stacks are checked against the right stack.
+#if defined(__SANITIZE_ADDRESS__)
+#define ACCRED_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ACCRED_ASAN_FIBERS 1
+#endif
+#endif
+
 namespace accred::gpusim {
 
 namespace detail {
@@ -129,6 +141,12 @@ private:
   void* tsan_fiber_ = nullptr;   // TSan-side context for this fiber
   void* tsan_caller_ = nullptr;  // resumer's TSan context while running
 #endif
+#if defined(ACCRED_ASAN_FIBERS)
+  void* asan_fake_ = nullptr;         // this fiber's fake stack, switched out
+  void* asan_caller_fake_ = nullptr;  // resumer's fake stack while running
+  const void* asan_caller_bottom_ = nullptr;  // resumer's stack, for yield
+  std::size_t asan_caller_size_ = 0;
+#endif
 };
 
 /// Converged-warp pass driver with lazy fiber binding. The scheduler calls
@@ -205,6 +223,17 @@ private:
   detail::MachineContext sched_ctx_{};  ///< scheduler frame during a pass
 #if defined(ACCRED_TSAN_FIBERS)
   void* tsan_sched_ = nullptr;
+#endif
+#if defined(ACCRED_ASAN_FIBERS)
+  void* asan_sched_fake_ = nullptr;  ///< scheduler's fake stack in a pass
+  /// The scheduler frame's stack, learned by the first fiber run() enters
+  /// (asan_sched_pending_ until then).
+  const void* asan_sched_bottom_ = nullptr;
+  std::size_t asan_sched_size_ = 0;
+  bool asan_sched_pending_ = false;
+  /// Fiber side of every switch in, given the stack it came from: when
+  /// run() just left the scheduler frame, remember that frame's stack.
+  void asan_arrived(const void* from_bottom, std::size_t from_size) noexcept;
 #endif
 };
 
