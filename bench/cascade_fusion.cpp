@@ -73,35 +73,36 @@ Ablation run_fig4_chain(std::int64_t r) {
     auto vec_view = vec_out.view();
     auto wrk_view = wrk_out.view();
 
-    reduce::Bindings<double> vb;
-    vb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                     std::int64_t i) {
+    const auto load = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                          std::int64_t j, std::int64_t i) {
       return ctx.ld(in_view, static_cast<std::size_t>((k * nj + j) * ni + i));
     };
-    vb.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  double res) {
+    reduce::Bindings<double> vb;
+    vb.contrib = reduce::per_lane(load);
+    vb.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, double res) {
       ctx.st(vec_view, static_cast<std::size_t>(k * nj + j), res);
-    };
+    });
     auto s1 = reduce::run_vector_reduction<double>(
         dev, dims, cfg, acc::ReductionOp::kSum, vb, sc);
 
     reduce::Bindings<double> wb;
-    wb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                     std::int64_t) {
+    wb.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                      std::int64_t j, std::int64_t) {
       return ctx.ld(vec_view, static_cast<std::size_t>(k * nj + j));
-    };
-    wb.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                  double res) {
+    });
+    wb.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t, double res) {
       ctx.st(wrk_view, static_cast<std::size_t>(k), res);
-    };
+    });
     auto s2 = reduce::run_worker_reduction<double>(
         dev, dims, cfg, acc::ReductionOp::kSum, wb, sc);
 
     reduce::Bindings<double> gb;
-    gb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                     std::int64_t) {
+    gb.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                      std::int64_t, std::int64_t) {
       return ctx.ld(wrk_view, static_cast<std::size_t>(k));
-    };
+    });
     auto s3 = reduce::run_gang_reduction<double>(
         dev, dims, cfg, acc::ReductionOp::kSum, gb, sc);
 
@@ -118,7 +119,7 @@ Ablation run_fig4_chain(std::int64_t r) {
         {acc::ReductionOp::kSum, acc::Par::kGang, "sum"},
     };
     reduce::FusedChainBindings<double> fb;
-    fb.contrib = vb.contrib;
+    fb.contrib = load;
     auto fused = reduce::run_fused_chain<double>(dev, chain, dims, cfg, fb,
                                                  sc);
     ab.fused_stats = fused.stats;
@@ -168,20 +169,22 @@ Ablation run_sum_mean_variance(std::int64_t r) {
   // ---- unfused: two full passes over x ------------------------------
   {
     reduce::Bindings<double> sum_b;
-    sum_b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx,
-                        std::int64_t, std::int64_t) {
+    sum_b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx,
+                                         std::int64_t idx, std::int64_t,
+                                         std::int64_t) {
       return ctx.ld(in_view, static_cast<std::size_t>(idx));
-    };
+    });
     auto s1 = reduce::run_same_loop_reduction<double>(
         dev, n, cfg, acc::ReductionOp::kSum, sum_b, sc);
 
     reduce::Bindings<double> sq_b;
-    sq_b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx,
-                       std::int64_t, std::int64_t) {
+    sq_b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx,
+                                        std::int64_t idx, std::int64_t,
+                                        std::int64_t) {
       const double x = ctx.ld(in_view, static_cast<std::size_t>(idx));
       ctx.alu(1);
       return x * x;
-    };
+    });
     auto s2 = reduce::run_same_loop_reduction<double>(
         dev, n, cfg, acc::ReductionOp::kSum, sq_b, sc);
 

@@ -53,14 +53,14 @@ gpusim::LaunchStats run_vector(gpusim::Device& dev, std::int64_t r,
   auto iv = input.view();
   auto ov = out.view();
   reduce::Bindings<float> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-               float v) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, float v) {
     ctx.st(ov, static_cast<std::size_t>(k * n.nj + j), v);
-  };
+  });
   return reduce::run_vector_reduction<float>(dev, n, {}, acc::ReductionOp::kSum,
                                              b, sc)
       .stats;
@@ -81,12 +81,14 @@ gpusim::LaunchStats run_worker(gpusim::Device& dev, std::int64_t r,
   auto iv = input.view();
   auto ov = out.view();
   reduce::Bindings<float> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t) {
     return ctx.ld(iv, static_cast<std::size_t>(k * n.nj + j));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-               float v) { ctx.st(ov, static_cast<std::size_t>(k), v); };
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t, float v) {
+    ctx.st(ov, static_cast<std::size_t>(k), v);
+  });
   return reduce::run_worker_reduction<float>(dev, n, {}, acc::ReductionOp::kSum,
                                              b, sc)
       .stats;

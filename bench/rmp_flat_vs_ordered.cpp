@@ -33,12 +33,14 @@ gpusim::LaunchStats run_wv(std::int64_t nk, std::int64_t nj, std::int64_t ni,
   auto iv = input.view();
   auto ov = out.view();
   reduce::Bindings<float> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * nj + j) * ni + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-               float v) { ctx.st(ov, static_cast<std::size_t>(k), v); };
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t, float v) {
+    ctx.st(ov, static_cast<std::size_t>(k), v);
+  });
   const auto res =
       ordered ? reduce::run_worker_vector_reduction_ordered<float>(
                     dev, n, {}, acc::ReductionOp::kSum, b)

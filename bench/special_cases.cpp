@@ -36,14 +36,14 @@ gpusim::LaunchStats vector_case(std::int64_t r, std::uint32_t vlen,
   auto iv = input.view();
   auto ov = out.view();
   reduce::Bindings<float> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-               float v) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, float v) {
     ctx.st(ov, static_cast<std::size_t>(k * n.nj + j), v);
-  };
+  });
   acc::LaunchConfig cfg;
   cfg.num_gangs = 2;
   cfg.num_workers = 8;

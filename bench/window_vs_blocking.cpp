@@ -28,10 +28,10 @@ gpusim::LaunchStats run_same_loop(std::int64_t n, reduce::Assignment mode) {
   }
   auto iv = input.view();
   reduce::Bindings<float> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx, std::int64_t,
-                  std::int64_t) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t idx,
+                                   std::int64_t, std::int64_t) {
     return ctx.ld(iv, static_cast<std::size_t>(idx));
-  };
+  });
   reduce::StrategyConfig sc;
   sc.assignment = mode;
   return reduce::run_same_loop_reduction<float>(dev, n, {},

@@ -42,11 +42,11 @@ int run(const util::Cli& cli, obs::RunRecord&) {
             << ", ignored per the paper's ss6)\n";
 
   reduce::Bindings<double> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t i, std::int64_t,
-                  std::int64_t) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t i,
+                                   std::int64_t, std::int64_t) {
     ctx.alu(1);  // the multiply (FMA disabled)
     return ctx.ld(xv, std::size_t(i)) * ctx.ld(yv, std::size_t(i));
-  };
+  });
   const auto res = target.run<double>(b);
 
   double host_dot = 0;

@@ -39,10 +39,10 @@ int run(const util::Cli& cli, obs::RunRecord&) {
 
   // 3. The loop body, as a callable over cost-modeled device memory.
   reduce::Bindings<double> body;
-  body.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t i, std::int64_t,
-                     std::int64_t) {
+  body.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t i,
+                                      std::int64_t, std::int64_t) {
     return ctx.ld(view, static_cast<std::size_t>(i));
-  };
+  });
 
   // 4. Plan (see which strategy the compiler picked), then run.
   const acc::ExecutionPlan plan = region.plan();

@@ -120,37 +120,50 @@ public:
       if (lk_ == 0 && lj_ == 0 && li_ == 0) {
         return execute<T>(*dev_, plan_, b);
       }
-      // Shift the 0-based kernel indices back to the user's ranges; the -1
-      // sentinel for unused levels passes through untouched.
+      // Shift the 0-based kernel indices back to the user's ranges, lane by
+      // lane of the call's mask; the -1 sentinel for unused levels passes
+      // through untouched.
       const std::int64_t lk = lk_;
       const std::int64_t lj = lj_;
       const std::int64_t li = li_;
-      auto sk = [lk](std::int64_t k) { return k < 0 ? k : k + lk; };
-      auto sj = [lj](std::int64_t j) { return j < 0 ? j : j + lj; };
-      auto si = [li](std::int64_t i) { return i < 0 ? i : i + li; };
+      auto shift = [](std::int64_t x, std::int64_t lower) {
+        return x < 0 ? x : x + lower;
+      };
+      auto shifted = [shift](gpusim::LaneMask m, const reduce::LaneIndex& x,
+                             std::int64_t lower) {
+        reduce::LaneIndex out = x;
+        gpusim::for_each_lane(
+            m, [&](std::uint32_t l) { out[l] = shift(x[l], lower); });
+        return out;
+      };
       reduce::Bindings<T> w = b;
-      w.contrib = [f = b.contrib, sk, sj, si](gpusim::ThreadCtx& ctx,
-                                              std::int64_t k, std::int64_t j,
-                                              std::int64_t i) {
-        return f(ctx, sk(k), sj(j), si(i));
+      w.contrib = [f = b.contrib, shifted, lk, lj, li](
+                      gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                      const reduce::LaneIndex& k, const reduce::LaneIndex& j,
+                      const reduce::LaneIndex& i, gpusim::Lanes<T>& out) {
+        f(wc, m, shifted(m, k, lk), shifted(m, j, lj), shifted(m, i, li), out);
       };
       if (b.parallel_work) {
-        w.parallel_work = [f = b.parallel_work, sk, sj, si](
-                              gpusim::ThreadCtx& ctx, std::int64_t k,
-                              std::int64_t j, std::int64_t i) {
-          f(ctx, sk(k), sj(j), si(i));
+        w.parallel_work = [f = b.parallel_work, shifted, lk, lj, li](
+                              gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                              const reduce::LaneIndex& k,
+                              const reduce::LaneIndex& j,
+                              const reduce::LaneIndex& i) {
+          f(wc, m, shifted(m, k, lk), shifted(m, j, lj), shifted(m, i, li));
         };
       }
       if (b.instance_init) {
-        w.instance_init = [f = b.instance_init, sk, sj](std::int64_t k,
-                                                        std::int64_t j) {
-          return f(sk(k), sj(j));
+        w.instance_init = [f = b.instance_init, shift, lk, lj](
+                              std::int64_t k, std::int64_t j) {
+          return f(shift(k, lk), shift(j, lj));
         };
       }
       if (b.sink) {
-        w.sink = [f = b.sink, sk, sj](gpusim::ThreadCtx& ctx, std::int64_t k,
-                                      std::int64_t j, T r) {
-          f(ctx, sk(k), sj(j), r);
+        w.sink = [f = b.sink, shifted, lk, lj](
+                     gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                     const reduce::LaneIndex& k, const reduce::LaneIndex& j,
+                     const gpusim::Lanes<T>& r) {
+          f(wc, m, shifted(m, k, lk), shifted(m, j, lj), r);
         };
       }
       return execute<T>(*dev_, plan_, w);

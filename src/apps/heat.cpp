@@ -1,6 +1,8 @@
 #include "apps/heat.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "acc/region.hpp"
@@ -59,35 +61,69 @@ HeatResult run_heat(const HeatOptions& opts) {
 
   for (int it = 0; it < opts.max_iterations; ++it) {
     // Stencil update: ordinary gang/vector parallel kernel (Fig. 3
-    // mapping), identical for every compiler profile.
+    // mapping), identical for every compiler profile. A warp kernel: per
+    // window step, the lanes still inside the row (a prefix of the warp)
+    // load their four neighbours and store the average as warp ops.
     auto update_stats = gpusim::launch(
-        dev, {opts.config.num_gangs}, {opts.config.vector_length},
-        0, [&](gpusim::ThreadCtx& ctx) {
-          for (std::int64_t j = ctx.blockIdx.x + 1; j < nj - 1;
-               j += ctx.gridDim.x) {
-            for (std::int64_t i = ctx.threadIdx.x + 1; i < ni - 1;
-                 i += ctx.blockDim.x) {
-              const auto c = static_cast<std::size_t>(j * ni + i);
-              const double v =
-                  0.25 * (ctx.ld(cur, c - 1) + ctx.ld(cur, c + 1) +
-                          ctx.ld(cur, c - static_cast<std::size_t>(ni)) +
-                          ctx.ld(cur, c + static_cast<std::size_t>(ni)));
-              ctx.st(nxt, c, v);
-              ctx.alu(6);
-            }
+        dev, {opts.config.num_gangs}, {opts.config.vector_length}, 0,
+        [&](gpusim::WarpCtx& wc) {
+          gpusim::Lanes<std::int64_t> col{};
+          for (std::uint32_t l = 0; l < wc.width(); ++l) {
+            col[l] = wc.threadIdx(l).x + 1;
+          }
+          const auto row = static_cast<std::size_t>(ni);
+          gpusim::Lanes<std::size_t> c{};
+          gpusim::Lanes<std::size_t> at{};
+          std::array<gpusim::Lanes<double>, 4> nb{};
+          for (std::int64_t j = wc.blockIdx.x + 1; j < nj - 1;
+               j += wc.gridDim.x) {
+            reduce::warp_device_loop(
+                reduce::Assignment::kWindow, ni - 1, col, wc.blockDim.x,
+                wc.lanes(),
+                [&](gpusim::LaneMask m, const gpusim::Lanes<std::int64_t>& i) {
+                  gpusim::for_each_lane(m, [&](std::uint32_t l) {
+                    c[l] = static_cast<std::size_t>(j * ni + i[l]);
+                  });
+                  const std::array<std::ptrdiff_t, 4> offsets = {
+                      -1, 1, -static_cast<std::ptrdiff_t>(row),
+                      static_cast<std::ptrdiff_t>(row)};
+                  for (std::size_t n = 0; n < 4; ++n) {
+                    gpusim::for_each_lane(m, [&](std::uint32_t l) {
+                      at[l] = c[l] + static_cast<std::size_t>(offsets[n]);
+                    });
+                    wc.ld(m, cur, at, nb[n]);
+                  }
+                  gpusim::Lanes<double> v{};
+                  gpusim::for_each_lane(m, [&](std::uint32_t l) {
+                    v[l] = 0.25 * (nb[0][l] + nb[1][l] + nb[2][l] + nb[3][l]);
+                  });
+                  wc.st(m, nxt, c, v);
+                  wc.alu(m, 6);
+                });
           }
         },
         gpusim::SimOptions{.label = "heat_update"});
     res.update_device_ms += update_stats.device_time_ns / 1e6;
 
-    // Convergence check: the paper's max reduction (Fig. 13a).
+    // Convergence check: the paper's max reduction (Fig. 13a), two warp
+    // loads per lane-vector of iterations.
     reduce::Bindings<double> b;
-    b.contrib = [&, cur, nxt](gpusim::ThreadCtx& ctx, std::int64_t j,
-                              std::int64_t, std::int64_t i) {
+    b.contrib = [&, cur, nxt](gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                              const reduce::LaneIndex& j,
+                              const reduce::LaneIndex&,
+                              const reduce::LaneIndex& i,
+                              gpusim::Lanes<double>& out) {
       // j, i arrive in the original [1, n-1) ranges (Fig. 3 start offsets).
-      const auto c = static_cast<std::size_t>(j * ni + i);
-      ctx.alu(2);
-      return std::fabs(ctx.ld(cur, c) - ctx.ld(nxt, c));
+      gpusim::Lanes<std::size_t> c{};
+      gpusim::for_each_lane(m, [&](std::uint32_t l) {
+        c[l] = static_cast<std::size_t>(j[l] * ni + i[l]);
+      });
+      wc.alu(m, 2);
+      gpusim::Lanes<double> next{};
+      wc.ld(m, cur, c, out);
+      wc.ld(m, nxt, c, next);
+      gpusim::for_each_lane(
+          m, [&](std::uint32_t l) { out[l] = std::fabs(out[l] - next[l]); });
     };
     auto red = reduction.run<double>(b);
     res.reduction_device_ms += red.stats.device_time_ns / 1e6;

@@ -49,17 +49,17 @@ MatmulResult run_matmul(const MatmulOptions& opts) {
       .var("c", acc::DataType::kFloat, /*accum=*/2, /*use=*/1);
 
   reduce::Bindings<float> bind;
-  bind.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t i, std::int64_t j,
-                     std::int64_t k) {
+  bind.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t i,
+                                      std::int64_t j, std::int64_t k) {
     const float x = ctx.ld(av, static_cast<std::size_t>(i * n + k));
     const float y = ctx.ld(bv, static_cast<std::size_t>(k * n + j));
     ctx.alu(2);  // multiply + index arithmetic (FMA disabled, §4)
     return x * y;
-  };
-  bind.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t i, std::int64_t j,
-                  float r) {
+  });
+  bind.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t i,
+                                   std::int64_t j, float r) {
     ctx.st(cv, static_cast<std::size_t>(i * n + j), r);
-  };
+  });
 
   auto res = region.run<float>(bind);
 

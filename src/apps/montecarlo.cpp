@@ -43,13 +43,13 @@ MonteCarloResult run_montecarlo(const MonteCarloOptions& opts) {
       .var("m", acc::DataType::kInt64, /*accum=*/0, acc::VarInfo::kHostUse);
 
   reduce::Bindings<std::int64_t> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx, std::int64_t,
-                  std::int64_t) -> std::int64_t {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t idx,
+                                   std::int64_t, std::int64_t) -> std::int64_t {
     const double px = ctx.ld(xv, static_cast<std::size_t>(idx));
     const double py = ctx.ld(yv, static_cast<std::size_t>(idx));
     ctx.alu(4);  // two multiplies, add, compare (FMA disabled, §4)
     return (px * px + py * py < 1.0) ? 1 : 0;
-  };
+  });
 
   auto res = region.run<std::int64_t>(b);
 

@@ -68,9 +68,9 @@ void WarpLog::reset(const CostParams& params, obs::StageTable* prof) {
   svec_.clear();
   ghead_ = gcount_ = shead_ = scount_ = 0;
   gbase_ = sbase_ = 0;
-  lane_gk_.fill(0);
-  lane_sk_.fill(0);
-  lane_alu_.fill(0);
+  gk_.reset(0);
+  sk_.reset(0);
+  alu_.reset(0);
   lane_stage_.fill(0);
   epoch_active_.clear();
   gmem_requests = gmem_segments = gmem_bytes = 0;
@@ -154,6 +154,10 @@ void WarpLog::global_access_open(std::uint32_t lane, std::uint64_t k,
     finalize_global(late);
     return;
   }
+  apply_global(open_global(k), lane, vaddr, bytes);
+}
+
+WarpLog::GlobalGroup& WarpLog::open_global(std::uint64_t k) {
   // Window overflow: retire the oldest group early (splits a logical
   // group in two, slightly overcounting segments, but bounds memory).
   while (k >= gbase_ + kGlobalWindow) {
@@ -173,7 +177,7 @@ void WarpLog::global_access_open(std::uint32_t lane, std::uint64_t k,
     gvec_.emplace_back();
     ++gcount_;
   }
-  apply_global(gvec_[ghead_ + (k - gbase_)], lane, vaddr, bytes);
+  return gvec_[ghead_ + (k - gbase_)];
 }
 
 void WarpLog::shared_access_open(std::uint32_t lane, std::uint64_t k,
@@ -186,6 +190,12 @@ void WarpLog::shared_access_open(std::uint32_t lane, std::uint64_t k,
     finalize_shared(late);
     return;
   }
+  SharedGroup& g = open_shared(k);
+  if (g.n == 0) g.stage = lane_stage_[lane];
+  if (g.n < kWarpSize) g.word[g.n++] = offset / 4;
+}
+
+WarpLog::SharedGroup& WarpLog::open_shared(std::uint64_t k) {
   while (k >= sbase_ + kSharedWindow) {
     finalize_shared(svec_[shead_]);
     ++shead_;
@@ -201,9 +211,42 @@ void WarpLog::shared_access_open(std::uint32_t lane, std::uint64_t k,
     svec_.emplace_back();
     ++scount_;
   }
-  SharedGroup& g = svec_[shead_ + (k - sbase_)];
-  if (g.n == 0) g.stage = lane_stage_[lane];
-  if (g.n < kWarpSize) g.word[g.n++] = offset / 4;
+  return svec_[shead_ + (k - sbase_)];
+}
+
+WarpLog::GlobalGroup* WarpLog::next_global_group(LaneMask mask) {
+  std::uint64_t k = 0;
+  if (!gk_.common(mask, k)) return nullptr;
+  const std::uint64_t rel = k - gbase_;  // k < gbase_ wraps past gcount_
+  GlobalGroup* g = nullptr;
+  if (rel < gcount_) {
+    g = &gvec_[ghead_ + rel];
+  } else if (k >= gbase_) {
+    g = &open_global(k);
+  } else {
+    return nullptr;  // late: each lane books a standalone request
+  }
+  gk_.set(mask, k + 1);
+  return g;
+}
+
+WarpLog::SharedGroup* WarpLog::next_shared_group(LaneMask mask) {
+  std::uint64_t k = 0;
+  if (!sk_.common(mask, k)) return nullptr;
+  const std::uint64_t rel = k - sbase_;
+  SharedGroup* g = nullptr;
+  if (rel < scount_) {
+    g = &svec_[shead_ + rel];
+  } else if (k >= sbase_) {
+    g = &open_shared(k);
+    if (g->n == 0) {
+      g->stage = lane_stage_[static_cast<std::size_t>(std::countr_zero(mask))];
+    }
+  } else {
+    return nullptr;
+  }
+  sk_.set(mask, k + 1);
+  return g;
 }
 
 void WarpLog::flush_pending() {
@@ -234,16 +277,14 @@ double WarpLog::end_epoch() {
   dirty_ = false;
   flush_pending();
   // Re-anchor group indexing so post-barrier accesses group afresh: after a
-  // barrier all lanes are aligned again.
-  const std::uint64_t gk = *std::max_element(lane_gk_.begin(), lane_gk_.end());
-  const std::uint64_t sk = *std::max_element(lane_sk_.begin(), lane_sk_.end());
-  lane_gk_.fill(gk);
-  lane_sk_.fill(sk);
-  gbase_ = gk;
-  sbase_ = sk;
+  // barrier all lanes are aligned again, at the furthest lane's ordinal.
+  gbase_ = gk_.max();
+  sbase_ = sk_.max();
+  gk_.reset(gbase_);
+  sk_.reset(sbase_);
 
-  const double max_alu = *std::max_element(lane_alu_.begin(), lane_alu_.end());
-  lane_alu_.fill(0);
+  const double max_alu = alu_.max();
+  alu_.reset(0);
   alu_total += max_alu;
   epoch_cost_ += max_alu * params_->alu_ns;
 

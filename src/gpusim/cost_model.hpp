@@ -111,9 +111,17 @@ struct LaunchStats {
 /// Lanes of a warp: bit l set means lane l takes part.
 using LaneMask = std::uint32_t;
 
-/// Call f(l) for every set lane of `m`, lowest lane first.
+/// Every lane of a full warp.
+inline constexpr LaneMask kAllLanes = ~LaneMask{0};
+
+/// Call f(l) for every set lane of `m`, lowest lane first. A full mask, the
+/// common case of a converged warp, runs a plain loop instead of a bit scan.
 template <typename F>
 void for_each_lane(LaneMask m, F&& f) {
+  if (m == kAllLanes) {
+    for (std::uint32_t l = 0; l < 32; ++l) f(l);
+    return;
+  }
   while (m != 0) {
     f(static_cast<std::uint32_t>(std::countr_zero(m)));
     m &= m - 1;
@@ -154,7 +162,7 @@ public:
   void global_access(std::uint32_t lane, std::uint64_t vaddr,
                      std::uint32_t bytes) {
     dirty_ = true;
-    const std::uint64_t k = lane_gk_[lane]++;
+    const std::uint64_t k = gk_.at(lane)++;
     const std::uint64_t rel = k - gbase_;  // k < gbase_ wraps past gcount_
     if (rel < gcount_) [[likely]] {
       apply_global(gvec_[ghead_ + rel], lane, vaddr, bytes);
@@ -167,7 +175,7 @@ public:
   void shared_access(std::uint32_t lane, std::uint32_t offset,
                      std::uint32_t bytes) {
     dirty_ = true;
-    const std::uint64_t k = lane_sk_[lane]++;
+    const std::uint64_t k = sk_.at(lane)++;
     if (prof_) mark_active(lane);
     const std::uint64_t rel = k - sbase_;
     if (rel < scount_) [[likely]] {
@@ -185,7 +193,7 @@ public:
   /// Charge `units` of per-lane arithmetic work.
   void alu(std::uint32_t lane, double units) {
     dirty_ = true;
-    lane_alu_[lane] += units;
+    alu_.at(lane) += units;
     if (prof_) {
       prof_->row(lane_stage_[lane]).alu_units += units;
       mark_active(lane);
@@ -199,36 +207,61 @@ public:
   void global_access_alu1(std::uint32_t lane, std::uint64_t vaddr,
                           std::uint32_t bytes) {
     global_access(lane, vaddr, bytes);
-    lane_alu_[lane] += 1.0;
+    alu_.at(lane) += 1.0;
     if (prof_) prof_->row(lane_stage_[lane]).alu_units += 1.0;
   }
   void shared_access_alu1(std::uint32_t lane, std::uint32_t offset,
                           std::uint32_t bytes) {
     shared_access(lane, offset, bytes);
-    lane_alu_[lane] += 1.0;
+    alu_.at(lane) += 1.0;
     if (prof_) prof_->row(lane_stage_[lane]).alu_units += 1.0;
   }
 
   /// Warp-instruction forms (warp_ctx.hpp): book the lanes set in `mask`
   /// in ascending lane order, lane l at vaddr[l] / offset[l], exactly as
   /// the per-lane calls above would in that order. One call per warp
-  /// instruction instead of one per lane.
+  /// instruction instead of one per lane: when every lane of the mask is
+  /// at the same access ordinal, the instruction is one group lookup (the
+  /// lowest lane opens or finds the group, as it would first in lane
+  /// order); any other mask, a late ordinal or an armed profiler books
+  /// lane by lane.
   void alu_lanes(LaneMask mask, double units) {
     if (prof_ != nullptr) {
       for_each_lane(mask, [&](std::uint32_t l) { alu(l, units); });
       return;
     }
+    if (mask == 0) return;
     dirty_ = true;
-    for_each_lane(mask, [&](std::uint32_t l) { lane_alu_[l] += units; });
+    alu_.add(mask, units);
   }
   void global_access_alu1_lanes(LaneMask mask, const std::uint64_t* vaddr,
                                 std::uint32_t bytes) {
+    if (mask == 0) return;
+    if (prof_ == nullptr) {
+      if (GlobalGroup* g = next_global_group(mask)) {
+        dirty_ = true;
+        apply_global_lanes(*g, mask, vaddr, bytes);
+        alu_.add(mask, 1.0);
+        return;
+      }
+    }
     for_each_lane(mask, [&](std::uint32_t l) {
       global_access_alu1(l, vaddr[l], bytes);
     });
   }
   void shared_access_alu1_lanes(LaneMask mask, const std::uint32_t* offset,
                                 std::uint32_t bytes) {
+    if (mask == 0) return;
+    if (prof_ == nullptr) {
+      if (SharedGroup* g = next_shared_group(mask)) {
+        dirty_ = true;
+        for_each_lane(mask, [&](std::uint32_t l) {
+          if (g->n < kWarpSize) g->word[g->n++] = offset[l] / 4;
+        });
+        alu_.add(mask, 1.0);
+        return;
+      }
+    }
     for_each_lane(mask, [&](std::uint32_t l) {
       shared_access_alu1(l, offset[l], bytes);
     });
@@ -281,19 +314,45 @@ private:
   /// Fold one access into an open group (the common converged-lane path).
   void apply_global(GlobalGroup& g, std::uint32_t lane, std::uint64_t vaddr,
                     std::uint32_t bytes) {
-    const auto line = static_cast<std::int64_t>(vaddr / 128);
     g.bytes += bytes;
-    if (g.base_line < 0) {
-      // Anchor the 64-line bitmap window centered-ish on the first line so
-      // both forward and backward strides stay inside it.
-      g.base_line = std::max<std::int64_t>(0, line - 16);
-      g.stage = lane_stage_[lane];
-    }
+    anchor_global(g, lane, vaddr);
     if (prof_) mark_active(lane);
-    const std::int64_t rel = line - g.base_line;
+    mark_lines(g, vaddr, bytes);
+  }
+
+  /// apply_global for each lane of `mask`, lane l at vaddr[l], in one pass.
+  void apply_global_lanes(GlobalGroup& g, LaneMask mask,
+                          const std::uint64_t* vaddr, std::uint32_t bytes) {
+    const auto first = static_cast<std::uint32_t>(std::countr_zero(mask));
+    g.bytes += bytes * static_cast<std::uint32_t>(std::popcount(mask));
+    anchor_global(g, first, vaddr[first]);
+    for_each_lane(mask,
+                  [&](std::uint32_t l) { mark_lines(g, vaddr[l], bytes); });
+  }
+
+  /// The first access of a group anchors its 64-line bitmap window
+  /// centered-ish on its line, so both forward and backward strides stay
+  /// inside it, and tags the group with the opener's stage.
+  void anchor_global(GlobalGroup& g, std::uint32_t lane,
+                     std::uint64_t vaddr) const {
+    if (g.base_line >= 0) return;
+    g.base_line = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(vaddr / 128) - 16);
+    g.stage = lane_stage_[lane];
+  }
+
+  /// Mark the lines one access touches in the group's bitmap.
+  static void mark_lines(GlobalGroup& g, std::uint64_t vaddr,
+                         std::uint32_t bytes) {
+    const std::int64_t rel =
+        static_cast<std::int64_t>(vaddr / 128) - g.base_line;
     // A single access can straddle two lines (e.g. 8B at offset 124).
     const std::int64_t rel_end =
         static_cast<std::int64_t>((vaddr + bytes - 1) / 128) - g.base_line;
+    if (rel == rel_end && static_cast<std::uint64_t>(rel) < 64) [[likely]] {
+      g.bitmap |= 1ULL << rel;  // one line inside the window
+      return;
+    }
     for (std::int64_t r = rel; r <= rel_end; ++r) {
       if (r >= 0 && r < 64) {
         g.bitmap |= (1ULL << r);
@@ -310,6 +369,82 @@ private:
                           std::uint64_t vaddr, std::uint32_t bytes);
   void shared_access_open(std::uint32_t lane, std::uint64_t k,
                           std::uint32_t offset);
+  /// The pending group of ordinal `k` >= gbase_ / sbase_, opened (and the
+  /// window advanced) if needed. The pointer lives until the next open.
+  GlobalGroup& open_global(std::uint64_t k);
+  SharedGroup& open_shared(std::uint64_t k);
+
+  /// Whole-warp booking: when every lane of `mask` is at the same ordinal
+  /// k and k is not late, advance those lanes past it and return group k,
+  /// found or opened as the mask's lowest lane would; else return null
+  /// with nothing advanced, and the caller books lane by lane.
+  GlobalGroup* next_global_group(LaneMask mask);
+  SharedGroup* next_shared_group(LaneMask mask);
+
+  /// One value per lane (an access ordinal, the epoch's ALU charge), kept
+  /// once while every lane holds the same value: from each epoch's start
+  /// until a partial mask or a per-lane call books. A whole-warp
+  /// instruction then updates one value, and end_epoch folds a warp whose
+  /// lanes stayed aligned in O(1) instead of scanning and refilling the
+  /// lane array.
+  template <typename V>
+  class LaneValues {
+  public:
+    /// Lane `l`'s value. The first per-lane access leaves the aligned
+    /// form: it copies the common value into every lane.
+    V& at(std::uint32_t l) {
+      spread();
+      return lane_[l];
+    }
+    /// Add `v` to the value of each lane of `mask`.
+    void add(LaneMask mask, V v) {
+      if (aligned_ && mask == kAllLanes) {
+        all_ += v;
+        return;
+      }
+      spread();
+      for_each_lane(mask, [&](std::uint32_t l) { lane_[l] += v; });
+    }
+    /// True, with `v` set to it, when every lane of `mask` holds one value.
+    bool common(LaneMask mask, V& v) const {
+      if (aligned_) {
+        v = all_;
+        return true;
+      }
+      v = lane_[static_cast<std::size_t>(std::countr_zero(mask))];
+      bool same = true;
+      for_each_lane(mask, [&](std::uint32_t l) { same &= lane_[l] == v; });
+      return same;
+    }
+    /// Set each lane of `mask` to `v`; a whole warp is aligned again.
+    void set(LaneMask mask, V v) {
+      if (mask == kAllLanes) {
+        reset(v);
+        return;
+      }
+      spread();
+      for_each_lane(mask, [&](std::uint32_t l) { lane_[l] = v; });
+    }
+    /// The largest lane value.
+    [[nodiscard]] V max() const {
+      return aligned_ ? all_ : *std::max_element(lane_.begin(), lane_.end());
+    }
+    /// Every lane holds `v`.
+    void reset(V v) {
+      all_ = v;
+      aligned_ = true;
+    }
+
+  private:
+    void spread() {
+      if (!aligned_) return;
+      lane_.fill(all_);
+      aligned_ = false;
+    }
+    std::array<V, kWarpSize> lane_{};  ///< per-lane values; stale if aligned_
+    V all_{};                          ///< every lane's value when aligned_
+    bool aligned_ = true;
+  };
 
   /// Record lane activity in its current stage for this epoch's
   /// divergence histogram. Only called while profiling is armed.
@@ -333,9 +468,9 @@ private:
   std::size_t scount_ = 0;
   std::uint64_t gbase_ = 0;  ///< group index of the oldest pending group
   std::uint64_t sbase_ = 0;
-  std::array<std::uint64_t, kWarpSize> lane_gk_{};  ///< next global index per lane
-  std::array<std::uint64_t, kWarpSize> lane_sk_{};
-  std::array<double, kWarpSize> lane_alu_{};  ///< current-epoch ALU per lane
+  LaneValues<std::uint64_t> gk_;  ///< next global access ordinal per lane
+  LaneValues<std::uint64_t> sk_;  ///< next shared access ordinal per lane
+  LaneValues<double> alu_;        ///< current-epoch ALU charge per lane
   std::array<std::uint16_t, kWarpSize> lane_stage_{};  ///< current stage per lane
   /// Current-epoch (stage, active-lane mask) pairs — a handful of entries
   /// (stages touched since the last barrier); folded into the stage

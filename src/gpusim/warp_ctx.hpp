@@ -2,13 +2,15 @@
 // once per warp of a block against a WarpCtx, which issues every memory
 // access, ALU charge and barrier for a set of lanes at once: the shape of
 // the paper's strategies, whose staging, trees and loops are warp
-// instructions. Per-lane work (reduce::Bindings callbacks, array-reduction
-// bodies) runs through lane(l), a ThreadCtx view of one lane.
+// instructions. Per-lane work (bodies wrapped by reduce::per_lane,
+// array-reduction bodies) runs through lane(l), a ThreadCtx view of one
+// lane.
 //
 // launch() runs a warp kernel at one of two widths:
 //   * 32: one lazily bound fiber per warp. A barrier parks the warp once
 //     instead of once per lane, and each warp op books its lanes in
-//     ascending lane order through one WarpLog call;
+//     ascending lane order through one WarpLog call (one group lookup when
+//     the lanes are at the same access ordinal);
 //   * 1: one lane per context on the lane engine, every op forwarded to the
 //     lane's ThreadCtx, which is exactly the event order of a ThreadCtx
 //     kernel. launch() picks it whenever an order-dependent observer
@@ -34,7 +36,7 @@ template <typename P>
 [[nodiscard]] LaneMask lanes_where(LaneMask m, P&& pred) {
   LaneMask out = 0;
   for_each_lane(m, [&](std::uint32_t l) {
-    if (pred(l)) out |= LaneMask{1} << l;
+    out |= static_cast<LaneMask>(static_cast<bool>(pred(l))) << l;
   });
   return out;
 }
@@ -149,7 +151,7 @@ public:
       if (m & 1U) out[0] = lanes_[0].ld(v, static_cast<std::size_t>(idx[0]));
       return;
     }
-    Lanes<std::uint64_t> addr;
+    Lanes<std::uint64_t> addr{};
     for_each_lane(m, [&](std::uint32_t l) {
       const auto i = static_cast<std::size_t>(idx[l]);
       ThreadCtx::check_global(v, i, "global load");
@@ -168,7 +170,7 @@ public:
       if (m & 1U) lanes_[0].st(v, static_cast<std::size_t>(idx[0]), x[0]);
       return;
     }
-    Lanes<std::uint64_t> addr;
+    Lanes<std::uint64_t> addr{};
     for_each_lane(m, [&](std::uint32_t l) {
       const auto i = static_cast<std::size_t>(idx[l]);
       ThreadCtx::check_global(v, i, "global store");
@@ -187,7 +189,7 @@ public:
       if (m & 1U) out[0] = lanes_[0].lds(v, static_cast<std::size_t>(idx[0]));
       return;
     }
-    Lanes<std::uint32_t> off;
+    Lanes<std::uint32_t> off{};
     for_each_lane(m, [&](std::uint32_t l) {
       off[l] = lanes_[0].check_shared(v, static_cast<std::size_t>(idx[l]),
                                       "shared load");
@@ -205,7 +207,7 @@ public:
       if (m & 1U) lanes_[0].sts(v, static_cast<std::size_t>(idx[0]), x[0]);
       return;
     }
-    Lanes<std::uint32_t> off;
+    Lanes<std::uint32_t> off{};
     for_each_lane(m, [&](std::uint32_t l) {
       off[l] = lanes_[0].check_shared(v, static_cast<std::size_t>(idx[l]),
                                       "shared store");

@@ -32,39 +32,38 @@ ReduceResult<T> run_gang_reduction(gpusim::Device& dev, Nest3 n,
 
     gpusim::Lanes<T> priv;
     priv.fill(rop.identity());
+    gpusim::Lanes<T> val{};
     auto prof = wc.prof_scope("private_partial");
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
+      const LaneIndex kk = detail::splat(k);
       // Inner worker/vector loops: non-reduction parallel work.
       if (b.parallel_work) {
         warp_device_loop(
             sc.assignment, n.nj, c.y, w, all,
-            [&](gpusim::LaneMask mj, const gpusim::Lanes<std::int64_t>& j) {
-              warp_device_loop(
-                  sc.assignment, n.ni, c.x, v, mj,
-                  [&](gpusim::LaneMask mi,
-                      const gpusim::Lanes<std::int64_t>& i) {
-                    wc.alu(mi, 2);
-                    gpusim::for_each_lane(mi, [&](std::uint32_t l) {
-                      b.parallel_work(wc.lane(l), k, j[l], i[l]);
-                    });
-                  });
+            [&](gpusim::LaneMask mj, const LaneIndex& j) {
+              warp_device_loop(sc.assignment, n.ni, c.x, v, mj,
+                               [&](gpusim::LaneMask mi, const LaneIndex& i) {
+                                 wc.alu(mi, 2);
+                                 b.parallel_work(wc, mi, kk, j, i);
+                               });
             });
       }
       // Every thread of the block folds the same contribution (Fig. 5c:
       // `sum_priv += temp[k][0][0]` sits outside the inner loops); only
       // thread (0,0) publishes.
-      gpusim::for_each_lane(all, [&](std::uint32_t l) {
-        priv[l] = rop.apply(priv[l], b.contrib(wc.lane(l), k, -1, -1));
-      });
+      b.contrib(wc, all, kk, detail::kNoIndex, detail::kNoIndex, val);
+      detail::fold_lanes(rop, all, priv, val);
       wc.alu(all, 3);
       detail::touch_spill(wc, all, sc, sizeof(T));
     });
     prof = {};
     auto stage = wc.prof_scope("staging");
-    gpusim::for_each_lane(
-        gpusim::lanes_where(
-            all, [&](std::uint32_t l) { return c.x[l] == 0 && c.y[l] == 0; }),
-        [&](std::uint32_t l) { wc.lane(l).st(pview, bid, priv[l]); });
+    gpusim::Lanes<std::uint32_t> slot;
+    slot.fill(bid);
+    wc.st(gpusim::lanes_where(
+              all,
+              [&](std::uint32_t l) { return c.x[l] == 0 && c.y[l] == 0; }),
+          pview, slot, priv);
   };
 
   ReduceResult<T> res;

@@ -46,28 +46,12 @@ ReduceResult<T> run_worker_vector_reduction(gpusim::Device& dev, Nest3 n,
         all, [&](std::uint32_t l) { return c.tid[l] == 0; });
 
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
+      const LaneIndex kk = detail::splat(k);
       gpusim::Lanes<T> priv;
       priv.fill(rop.identity());
       {
         auto prof = wc.prof_scope("private_partial");
-        warp_device_loop(
-            sc.assignment, n.nj, c.y, w, all,
-            [&](gpusim::LaneMask mj, const gpusim::Lanes<std::int64_t>& j) {
-              warp_device_loop(
-                  sc.assignment, n.ni, c.x, v, mj,
-                  [&](gpusim::LaneMask mi,
-                      const gpusim::Lanes<std::int64_t>& i) {
-                    wc.alu(mi, 2);
-                    gpusim::for_each_lane(mi, [&](std::uint32_t l) {
-                      gpusim::ThreadCtx& lane = wc.lane(l);
-                      if (b.parallel_work) b.parallel_work(lane, k, j[l], i[l]);
-                      priv[l] =
-                          rop.apply(priv[l], b.contrib(lane, k, j[l], i[l]));
-                    });
-                    wc.alu(mi, 1);
-                    detail::touch_spill(wc, mi, sc, sizeof(T));
-                  });
-            });
+        detail::fold_rows(wc, sc, n, w, v, c, all, kk, b, rop, priv);
       }
       if (sc.staging == Staging::kShared) {
         {
@@ -76,11 +60,9 @@ ReduceResult<T> run_worker_vector_reduction(gpusim::Device& dev, Nest3 n,
         }
         block_tree_reduce(wc, sbuf, {}, nthreads, 1, c.tid, rop, sc.tree);
         auto prof = wc.prof_scope("finalize");
-        gpusim::for_each_lane(lead, [&](std::uint32_t l) {
-          gpusim::ThreadCtx& lane = wc.lane(l);
-          b.sink(lane, k, -1,
-                 detail::fold_instance_init(b, rop, k, -1, lane.lds(sbuf, 0)));
-        });
+        gpusim::Lanes<T> result{};
+        wc.lds(lead, sbuf, gpusim::Lanes<std::uint32_t>{}, result);
+        detail::sink_lanes(b, rop, wc, lead, kk, detail::kNoIndex, result);
       } else {
         const std::size_t base = static_cast<std::size_t>(bid) * nthreads;
         gpusim::Lanes<std::size_t> bases;
@@ -96,12 +78,9 @@ ReduceResult<T> run_worker_vector_reduction(gpusim::Device& dev, Nest3 n,
         block_tree_reduce_global(wc, gview, bases, nthreads, c.tid, rop,
                                  sc.tree);
         auto prof = wc.prof_scope("finalize");
-        gpusim::for_each_lane(lead, [&](std::uint32_t l) {
-          gpusim::ThreadCtx& lane = wc.lane(l);
-          b.sink(lane, k, -1,
-                 detail::fold_instance_init(b, rop, k, -1,
-                                            lane.ld(gview, base)));
-        });
+        gpusim::Lanes<T> result{};
+        wc.ld(lead, gview, bases, result);
+        detail::sink_lanes(b, rop, wc, lead, kk, detail::kNoIndex, result);
       }
       auto prof = wc.prof_scope("finalize");
       wc.syncthreads();
@@ -130,11 +109,13 @@ ReduceResult<T> run_worker_vector_reduction_ordered(
   auto sbuf = layout.add<T>(static_cast<std::size_t>(w) * v);
   auto wbuf = layout.add<T>(w);
 
+  // A ThreadCtx kernel: the bindings run on a width-1 view of each lane.
   auto kernel = [=, &b](gpusim::ThreadCtx& ctx) {
     const acc::RuntimeOp<T> rop{op};
     const std::uint32_t x = ctx.threadIdx.x;
     const std::uint32_t y = ctx.threadIdx.y;
     const std::uint32_t bid = ctx.blockIdx.x;
+    gpusim::WarpCtx wc(ctx);
 
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
       T wpriv = rop.identity();
@@ -145,8 +126,11 @@ ReduceResult<T> run_worker_vector_reduction_ordered(
           auto prof = ctx.prof_scope("private_partial");
           device_loop(sc.assignment, n.ni, x, v, [&](std::int64_t i) {
             ctx.alu(2);
-            if (b.parallel_work) b.parallel_work(ctx, k, j, i);
-            vpriv = rop.apply(vpriv, b.contrib(ctx, k, j, i));
+            if (b.parallel_work) {
+              b.parallel_work(wc, 1, LaneIndex{k}, LaneIndex{j},
+                              LaneIndex{i});
+            }
+            vpriv = rop.apply(vpriv, detail::lane_contrib(b, ctx, k, j, i));
             ctx.alu(1);
             detail::touch_spill(ctx, sc, sizeof(T));
           });
@@ -172,8 +156,9 @@ ReduceResult<T> run_worker_vector_reduction_ordered(
                         rop, sc.tree);
       auto prof = ctx.prof_scope("finalize");
       if (x == 0 && y == 0) {
-        b.sink(ctx, k, -1,
-               detail::fold_instance_init(b, rop, k, -1, ctx.lds(wbuf, 0)));
+        gpusim::Lanes<T> result{ctx.lds(wbuf, 0)};
+        detail::sink_lanes(b, rop, wc, 1, LaneIndex{k}, detail::kNoIndex,
+                           result);
       }
       ctx.syncthreads();
     });
@@ -212,25 +197,21 @@ ReduceResult<T> run_gang_worker_reduction(gpusim::Device& dev, Nest3 n,
     priv.fill(rop.identity());
     {
       auto prof = wc.prof_scope("private_partial");
+      gpusim::Lanes<T> val{};
       device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
+        const LaneIndex kk = detail::splat(k);
         warp_device_loop(
             sc.assignment, n.nj, c.y, w, all,
-            [&](gpusim::LaneMask mj, const gpusim::Lanes<std::int64_t>& j) {
+            [&](gpusim::LaneMask mj, const LaneIndex& j) {
               if (b.parallel_work) {
-                warp_device_loop(
-                    sc.assignment, n.ni, c.x, v, mj,
-                    [&](gpusim::LaneMask mi,
-                        const gpusim::Lanes<std::int64_t>& i) {
-                      wc.alu(mi, 2);
-                      gpusim::for_each_lane(mi, [&](std::uint32_t l) {
-                        b.parallel_work(wc.lane(l), k, j[l], i[l]);
-                      });
-                    });
+                warp_device_loop(sc.assignment, n.ni, c.x, v, mj,
+                                 [&](gpusim::LaneMask mi, const LaneIndex& i) {
+                                   wc.alu(mi, 2);
+                                   b.parallel_work(wc, mi, kk, j, i);
+                                 });
               }
-              gpusim::for_each_lane(mj, [&](std::uint32_t l) {
-                priv[l] =
-                    rop.apply(priv[l], b.contrib(wc.lane(l), k, j[l], -1));
-              });
+              b.contrib(wc, mj, kk, j, detail::kNoIndex, val);
+              detail::fold_lanes(rop, mj, priv, val);
               wc.alu(mj, 3);
               detail::touch_spill(wc, mj, sc, sizeof(T));
             });
@@ -282,24 +263,8 @@ ReduceResult<T> run_gang_worker_vector_reduction(
     {
       auto prof = wc.prof_scope("private_partial");
       device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
-        warp_device_loop(
-            sc.assignment, n.nj, c.y, w, all,
-            [&](gpusim::LaneMask mj, const gpusim::Lanes<std::int64_t>& j) {
-              warp_device_loop(
-                  sc.assignment, n.ni, c.x, v, mj,
-                  [&](gpusim::LaneMask mi,
-                      const gpusim::Lanes<std::int64_t>& i) {
-                    wc.alu(mi, 2);
-                    gpusim::for_each_lane(mi, [&](std::uint32_t l) {
-                      gpusim::ThreadCtx& lane = wc.lane(l);
-                      if (b.parallel_work) b.parallel_work(lane, k, j[l], i[l]);
-                      priv[l] =
-                          rop.apply(priv[l], b.contrib(lane, k, j[l], i[l]));
-                    });
-                    wc.alu(mi, 1);
-                    detail::touch_spill(wc, mi, sc, sizeof(T));
-                  });
-            });
+        detail::fold_rows(wc, sc, n, w, v, c, all, detail::splat(k), b, rop,
+                          priv);
       });
     }
     gpusim::Lanes<std::size_t> slot{};
@@ -353,15 +318,13 @@ ReduceResult<T> run_same_loop_reduction(gpusim::Device& dev,
     priv.fill(rop.identity());
     {
       auto prof = wc.prof_scope("private_partial");
+      gpusim::Lanes<T> val{};
       warp_device_loop(
-          sc.assignment, extent, gtid,
-          static_cast<std::int64_t>(total), all,
-          [&](gpusim::LaneMask m, const gpusim::Lanes<std::int64_t>& idx) {
+          sc.assignment, extent, gtid, static_cast<std::int64_t>(total), all,
+          [&](gpusim::LaneMask m, const LaneIndex& idx) {
             wc.alu(m, 2);
-            gpusim::for_each_lane(m, [&](std::uint32_t l) {
-              priv[l] =
-                  rop.apply(priv[l], b.contrib(wc.lane(l), idx[l], -1, -1));
-            });
+            b.contrib(wc, m, idx, detail::kNoIndex, detail::kNoIndex, val);
+            detail::fold_lanes(rop, m, priv, val);
             wc.alu(m, 1);
             detail::touch_spill(wc, m, sc, sizeof(T));
           });

@@ -59,6 +59,11 @@ struct StrategyConfig {
   return sim;
 }
 
+/// One loop level's index per lane of a binding call: lane l of the call's
+/// mask runs iteration k[l] (j[l], i[l]); entries of other lanes are
+/// unspecified. A level the strategy does not iterate reads -1.
+using LaneIndex = gpusim::Lanes<std::int64_t>;
+
 namespace detail {
 
 /// Cost-model annotation for the spilled accumulator: one coalesced
@@ -70,7 +75,7 @@ inline void touch_spill(gpusim::WarpCtx& wc, gpusim::LaneMask m,
   constexpr std::uint64_t kSpillBase = 1ULL << 40;
   const std::uint64_t block_base =
       static_cast<std::uint64_t>(wc.blockIdx.x) * wc.blockDim.count();
-  gpusim::Lanes<std::uint64_t> slot;
+  gpusim::Lanes<std::uint64_t> slot{};
   gpusim::for_each_lane(m, [&](std::uint32_t l) {
     slot[l] = kSpillBase + (block_base + wc.linear_tid(l)) * elem_size;
   });
@@ -83,6 +88,20 @@ inline void touch_spill(gpusim::ThreadCtx& ctx, const StrategyConfig& sc,
                         std::size_t elem_size) {
   gpusim::WarpCtx wc(ctx);
   touch_spill(wc, wc.lanes(), sc, elem_size);
+}
+
+/// Index of a loop level the strategy does not iterate, in every lane.
+inline constexpr LaneIndex kNoIndex = [] {
+  LaneIndex none{};
+  none.fill(-1);
+  return none;
+}();
+
+/// A uniform index `v` in every lane.
+[[nodiscard]] inline LaneIndex splat(std::int64_t v) {
+  LaneIndex all;
+  all.fill(v);
+  return all;
 }
 
 /// Per lane of the context: threadIdx.x, threadIdx.y and the linear tid.
@@ -109,32 +128,60 @@ struct Nest3 {
   std::int64_t ni = 1;
 };
 
-/// Loop-body callables. Index arguments that a given strategy does not
-/// iterate are passed as -1.
+/// Loop-body callables, in warp form: a strategy calls each once per warp
+/// instruction, with its WarpCtx, the active lanes and each lane's
+/// iteration, and the callable issues the lanes' accesses as warp ops (an
+/// affine contribution is one wc.ld). A body written for one lane at a time
+/// wraps in per_lane() below.
 template <typename T>
 struct Bindings {
-  /// Contribution of one iteration at the reduction's accumulation site.
-  std::function<T(gpusim::ThreadCtx&, std::int64_t k, std::int64_t j,
-                  std::int64_t i)>
+  /// Contribution at the reduction's accumulation site: out[l] for each
+  /// lane l of the mask.
+  std::function<void(gpusim::WarpCtx&, gpusim::LaneMask, const LaneIndex& k,
+                     const LaneIndex& j, const LaneIndex& i,
+                     gpusim::Lanes<T>& out)>
       contrib;
   /// Optional non-reduction work at the innermost loop (the "other levels
   /// execute in parallel" part of the paper's test cases).
-  std::function<void(gpusim::ThreadCtx&, std::int64_t k, std::int64_t j,
-                     std::int64_t i)>
+  std::function<void(gpusim::WarpCtx&, gpusim::LaneMask, const LaneIndex& k,
+                     const LaneIndex& j, const LaneIndex& i)>
       parallel_work;
   /// Per-instance initial value of the reduction variable (e.g. `i_sum = j`
-  /// in Fig. 4a); folded in after the tree per §3.1.1. Null = identity.
+  /// in Fig. 4a); folded in after the tree per §3.1.1. A host-side value,
+  /// not device work. Null = identity.
   std::function<T(std::int64_t k, std::int64_t j)> instance_init;
-  /// Per-instance result consumer, run by one device thread (e.g.
-  /// `temp[k][j][0] = i_sum`). Required for per-instance strategies.
-  std::function<void(gpusim::ThreadCtx&, std::int64_t k, std::int64_t j,
-                     T result)>
+  /// Per-instance result consumer (e.g. `temp[k][j][0] = i_sum`): lane l of
+  /// the mask is the one device thread holding instance (k[l], j[l])'s
+  /// result[l]. Required for per-instance strategies.
+  std::function<void(gpusim::WarpCtx&, gpusim::LaneMask, const LaneIndex& k,
+                     const LaneIndex& j, const gpusim::Lanes<T>& result)>
       sink;
   /// Incoming value of the reduction variable for whole-nest (scalar)
   /// reductions; folded into the returned scalar.
   T host_init{};
   bool host_init_set = false;
 };
+
+/// Adapt a body written for one lane to any Bindings member: the result
+/// runs `f` on wc.lane(l) for each lane l of the mask, lowest lane first.
+/// `f` takes (ThreadCtx&, k, j, i) and returns the contribution (contrib)
+/// or nothing (parallel_work), or takes (ThreadCtx&, k, j, result) (sink).
+/// At width 32 the lane view must not synchronize (warp_ctx.hpp).
+template <typename F>
+[[nodiscard]] auto per_lane(F f) {
+  return [f = std::move(f)](gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                            const LaneIndex& k, const LaneIndex& j,
+                            const auto& last, auto&... out) {
+    static_assert(sizeof...(out) <= 1, "per_lane: unknown binding shape");
+    gpusim::for_each_lane(m, [&](std::uint32_t l) {
+      if constexpr (sizeof...(out) == 1) {
+        ((out[l] = f(wc.lane(l), k[l], j[l], last[l])), ...);
+      } else {
+        f(wc.lane(l), k[l], j[l], last[l]);
+      }
+    });
+  };
+}
 
 template <typename T>
 struct ReduceResult {
@@ -145,11 +192,75 @@ struct ReduceResult {
 
 namespace detail {
 
+/// priv[l] = op(priv[l], val[l]) for each lane l of `m`.
 template <typename T>
-T fold_instance_init(const Bindings<T>& b, acc::RuntimeOp<T> op,
-                     std::int64_t k, std::int64_t j, T tree_result) {
-  if (b.instance_init) return op.apply(b.instance_init(k, j), tree_result);
-  return tree_result;
+void fold_lanes(acc::RuntimeOp<T> op, gpusim::LaneMask m,
+                gpusim::Lanes<T>& priv, const gpusim::Lanes<T>& val) {
+  gpusim::for_each_lane(
+      m, [&](std::uint32_t l) { priv[l] = op.apply(priv[l], val[l]); });
+}
+
+/// One warp instruction of a private partial's innermost loop, for the
+/// lanes of `m` at iteration (k, j, i): index bookkeeping, the optional
+/// parallel work, the contribution (into `val`), the fold into `priv`, and
+/// the spilled accumulator's touch.
+template <typename T>
+void fold_step(gpusim::WarpCtx& wc, const StrategyConfig& sc,
+               const Bindings<T>& b, acc::RuntimeOp<T> op, gpusim::LaneMask m,
+               const LaneIndex& k, const LaneIndex& j, const LaneIndex& i,
+               gpusim::Lanes<T>& priv, gpusim::Lanes<T>& val) {
+  wc.alu(m, 2);  // index bookkeeping per Fig. 3 iteration
+  if (b.parallel_work) b.parallel_work(wc, m, k, j, i);
+  b.contrib(wc, m, k, j, i, val);
+  fold_lanes(op, m, priv, val);
+  wc.alu(m, 1);
+  touch_spill(wc, m, sc, sizeof(T));
+}
+
+/// The private partials of instance `k`'s (j, i) nest over the lanes of
+/// `active`: lane l walks row c.y[l]'s and column c.x[l]'s windows.
+template <typename T>
+void fold_rows(gpusim::WarpCtx& wc, const StrategyConfig& sc, Nest3 n,
+               std::uint32_t w, std::uint32_t v, const LaneCoords& c,
+               gpusim::LaneMask active, const LaneIndex& k,
+               const Bindings<T>& b, acc::RuntimeOp<T> op,
+               gpusim::Lanes<T>& priv) {
+  gpusim::Lanes<T> val{};
+  warp_device_loop(
+      sc.assignment, n.nj, c.y, w, active,
+      [&](gpusim::LaneMask mj, const LaneIndex& j) {
+        warp_device_loop(sc.assignment, n.ni, c.x, v, mj,
+                         [&](gpusim::LaneMask mi, const LaneIndex& i) {
+                           fold_step(wc, sc, b, op, mi, k, j, i, priv, val);
+                         });
+      });
+}
+
+/// Hand the instance results of the lanes of `m` (lane l: instance
+/// (k[l], j[l]), tree result r[l]) to the sink, each with its initial value
+/// folded in.
+template <typename T>
+void sink_lanes(const Bindings<T>& b, acc::RuntimeOp<T> op,
+                gpusim::WarpCtx& wc, gpusim::LaneMask m, const LaneIndex& k,
+                const LaneIndex& j, gpusim::Lanes<T>& r) {
+  if (m == 0) return;
+  if (b.instance_init) {
+    gpusim::for_each_lane(m, [&](std::uint32_t l) {
+      r[l] = op.apply(b.instance_init(k[l], j[l]), r[l]);
+    });
+  }
+  b.sink(wc, m, k, j, r);
+}
+
+/// A warp-form contribution from a ThreadCtx kernel: the binding runs on a
+/// width-1 view of the calling lane.
+template <typename T>
+T lane_contrib(const Bindings<T>& b, gpusim::ThreadCtx& ctx, std::int64_t k,
+               std::int64_t j, std::int64_t i) {
+  gpusim::WarpCtx wc(ctx);
+  gpusim::Lanes<T> out{};
+  b.contrib(wc, 1, LaneIndex{k}, LaneIndex{j}, LaneIndex{i}, out);
+  return out[0];
 }
 
 template <typename T>

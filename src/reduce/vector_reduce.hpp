@@ -42,26 +42,19 @@ ReduceResult<T> run_vector_reduction(gpusim::Device& dev, Nest3 n,
     // block). Worker loop: padded — its body runs a barrier-synchronized
     // tree per (k, j) instance.
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
+      const LaneIndex kk = detail::splat(k);
       warp_assigned_loop(
           sc.assignment, n.nj, c.y, w, all,
-          [&](const gpusim::Lanes<std::int64_t>& j, gpusim::LaneMask ja) {
+          [&](const LaneIndex& j, gpusim::LaneMask ja) {
             gpusim::Lanes<T> priv;
             priv.fill(rop.identity());
             if (ja != 0) {
               auto prof = wc.prof_scope("private_partial");
+              gpusim::Lanes<T> val{};
               warp_device_loop(
                   sc.assignment, n.ni, c.x, v, ja,
-                  [&](gpusim::LaneMask m,
-                      const gpusim::Lanes<std::int64_t>& i) {
-                    wc.alu(m, 2);  // index bookkeeping per Fig. 3 iteration
-                    gpusim::for_each_lane(m, [&](std::uint32_t l) {
-                      gpusim::ThreadCtx& lane = wc.lane(l);
-                      if (b.parallel_work) b.parallel_work(lane, k, j[l], i[l]);
-                      priv[l] =
-                          rop.apply(priv[l], b.contrib(lane, k, j[l], i[l]));
-                    });
-                    wc.alu(m, 1);
-                    detail::touch_spill(wc, m, sc, sizeof(T));
+                  [&](gpusim::LaneMask m, const LaneIndex& i) {
+                    detail::fold_step(wc, sc, b, rop, m, kk, j, i, priv, val);
                   });
             }
 
@@ -109,16 +102,13 @@ ReduceResult<T> run_vector_reduction(gpusim::Device& dev, Nest3 n,
             auto prof = wc.prof_scope("finalize");
             const gpusim::LaneMask leads = gpusim::lanes_where(
                 ja, [&](std::uint32_t l) { return c.x[l] == 0; });
-            gpusim::for_each_lane(
-                leads, [&](std::uint32_t l) {
-                  gpusim::ThreadCtx& lane = wc.lane(l);
-                  const T row_result = sc.staging == Staging::kShared
-                                           ? lane.lds(sbuf, result_slot[l])
-                                           : lane.ld(gview, gbase[l]);
-                  b.sink(lane, k, j[l],
-                         detail::fold_instance_init(b, rop, k, j[l],
-                                                    row_result));
-                });
+            gpusim::Lanes<T> row_result{};
+            if (sc.staging == Staging::kShared) {
+              wc.lds(leads, sbuf, result_slot, row_result);
+            } else {
+              wc.ld(leads, gview, gbase, row_result);
+            }
+            detail::sink_lanes(b, rop, wc, leads, kk, j, row_result);
             wc.syncthreads();  // staging area is reused by the next instance
           });
     });

@@ -59,29 +59,25 @@ ReduceResult<T> run_worker_reduction(gpusim::Device& dev, Nest3 n,
     }
 
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
+      const LaneIndex kk = detail::splat(k);
       gpusim::Lanes<T> priv;
       priv.fill(rop.identity());
       {
         auto prof = wc.prof_scope("private_partial");
+        gpusim::Lanes<T> val{};
         warp_device_loop(
             sc.assignment, n.nj, c.y, w, all,
-            [&](gpusim::LaneMask mj, const gpusim::Lanes<std::int64_t>& j) {
+            [&](gpusim::LaneMask mj, const LaneIndex& j) {
               // Inner vector loop: non-reduction parallel work.
               if (b.parallel_work) {
-                warp_device_loop(
-                    sc.assignment, n.ni, c.x, v, mj,
-                    [&](gpusim::LaneMask mi,
-                        const gpusim::Lanes<std::int64_t>& i) {
-                      wc.alu(mi, 2);
-                      gpusim::for_each_lane(mi, [&](std::uint32_t l) {
-                        b.parallel_work(wc.lane(l), k, j[l], i[l]);
-                      });
-                    });
+                warp_device_loop(sc.assignment, n.ni, c.x, v, mj,
+                                 [&](gpusim::LaneMask mi, const LaneIndex& i) {
+                                   wc.alu(mi, 2);
+                                   b.parallel_work(wc, mi, kk, j, i);
+                                 });
               }
-              gpusim::for_each_lane(mj, [&](std::uint32_t l) {
-                priv[l] =
-                    rop.apply(priv[l], b.contrib(wc.lane(l), k, j[l], -1));
-              });
+              b.contrib(wc, mj, kk, j, detail::kNoIndex, val);
+              detail::fold_lanes(rop, mj, priv, val);
               wc.alu(mj, 3);
               detail::touch_spill(wc, mj, sc, sizeof(T));
             });
@@ -110,11 +106,9 @@ ReduceResult<T> run_worker_reduction(gpusim::Device& dev, Nest3 n,
           block_tree_reduce(wc, sbuf, {}, w, 1, first_row, rop, sc.tree);
         }
         auto prof = wc.prof_scope("finalize");
-        gpusim::for_each_lane(lead, [&](std::uint32_t l) {
-          gpusim::ThreadCtx& lane = wc.lane(l);
-          b.sink(lane, k, -1,
-                 detail::fold_instance_init(b, rop, k, -1, lane.lds(sbuf, 0)));
-        });
+        gpusim::Lanes<T> result{};
+        wc.lds(lead, sbuf, gpusim::Lanes<std::uint32_t>{}, result);
+        detail::sink_lanes(b, rop, wc, lead, kk, detail::kNoIndex, result);
       } else {
         const std::size_t base = static_cast<std::size_t>(bid) * w;
         gpusim::Lanes<std::size_t> bases;
@@ -127,12 +121,9 @@ ReduceResult<T> run_worker_reduction(gpusim::Device& dev, Nest3 n,
         }
         block_tree_reduce_global(wc, gview, bases, w, first_row, rop, sc.tree);
         auto prof = wc.prof_scope("finalize");
-        gpusim::for_each_lane(lead, [&](std::uint32_t l) {
-          gpusim::ThreadCtx& lane = wc.lane(l);
-          b.sink(lane, k, -1,
-                 detail::fold_instance_init(b, rop, k, -1,
-                                            lane.ld(gview, base)));
-        });
+        gpusim::Lanes<T> result{};
+        wc.ld(lead, gview, bases, result);
+        detail::sink_lanes(b, rop, wc, lead, kk, detail::kNoIndex, result);
       }
       auto prof = wc.prof_scope("finalize");
       wc.syncthreads();  // staging area reused by the next k instance

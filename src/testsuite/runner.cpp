@@ -218,23 +218,41 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
     if (copy_work) temp_view = bufs.temp.view();
     auto out_view = bufs.result.view();
 
+    // Each binding is one warp instruction per access: the parallel copy
+    // a load and a store, the contribution one affine load, the sink one
+    // store.
+    using reduce::LaneIndex;
     reduce::Bindings<T> b;
     if (copy_work) {
-      b.parallel_work = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                            std::int64_t j, std::int64_t i) {
-        const auto idx = static_cast<std::size_t>((k * nj + j) * ni + i);
-        ctx.st(temp_view, idx, ctx.ld(in_view, idx));
+      b.parallel_work = [=](gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                            const LaneIndex& k, const LaneIndex& j,
+                            const LaneIndex& i) {
+        gpusim::Lanes<std::size_t> idx{};
+        gpusim::for_each_lane(m, [&](std::uint32_t l) {
+          idx[l] = static_cast<std::size_t>((k[l] * nj + j[l]) * ni + i[l]);
+        });
+        gpusim::Lanes<T> v{};
+        wc.ld(m, in_view, idx, v);
+        wc.st(m, temp_view, idx, v);
       };
     }
-    b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                    std::int64_t i) {
-      return ctx.ld(in_view,
-                    static_cast<std::size_t>(k * lk + j * lj + i * li));
+    b.contrib = [=](gpusim::WarpCtx& wc, gpusim::LaneMask m,
+                    const LaneIndex& k, const LaneIndex& j, const LaneIndex& i,
+                    gpusim::Lanes<T>& out) {
+      gpusim::Lanes<std::size_t> idx{};
+      gpusim::for_each_lane(m, [&](std::uint32_t l) {
+        idx[l] = static_cast<std::size_t>(k[l] * lk + j[l] * lj + i[l] * li);
+      });
+      wc.ld(m, in_view, idx, out);
     };
     if (geo.use_level != acc::VarInfo::kHostUse) {
-      b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                   T r) {
-        ctx.st(out_view, static_cast<std::size_t>(k * sk + j * sj), r);
+      b.sink = [=](gpusim::WarpCtx& wc, gpusim::LaneMask m, const LaneIndex& k,
+                   const LaneIndex& j, const gpusim::Lanes<T>& r) {
+        gpusim::Lanes<std::size_t> idx{};
+        gpusim::for_each_lane(m, [&](std::uint32_t l) {
+          idx[l] = static_cast<std::size_t>(k[l] * sk + j[l] * sj);
+        });
+        wc.st(m, out_view, idx, r);
       };
     }
     plan.launch = cfg;

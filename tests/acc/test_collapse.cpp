@@ -71,16 +71,16 @@ TEST(Collapse, FourDeepNestThroughCollapsedVectorLoop) {
       .var("s", DataType::kInt64, /*accum=*/2, /*use=*/1);
 
   reduce::Bindings<std::int64_t> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t a, std::int64_t bb,
-                  std::int64_t flat) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t a,
+                                   std::int64_t bb, std::int64_t flat) {
     // Recover (c, d) exactly as collapsed user code would.
     const auto [c, d] = decompose_index<2>(flat, inner);
     return ctx.ld(dv, std::size_t(((a * kB + bb) * kC + c) * kD + d));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t a, std::int64_t bb,
-               std::int64_t r) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t a,
+                                std::int64_t bb, std::int64_t r) {
     ctx.st(ov, std::size_t(a * kB + bb), r);
-  };
+  });
   (void)region.run<std::int64_t>(b);
 
   for (std::int64_t a = 0; a < kA; ++a) {
@@ -107,12 +107,12 @@ TEST(Collapse, SameLoopCollapseOverWholeSpace) {
       .loop("loop gang vector collapse(4) reduction(+:t)", {3, 4, 5, 6})
       .var("t", DataType::kInt32, 0);
   reduce::Bindings<std::int32_t> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t flat, std::int64_t,
-                  std::int64_t) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t flat,
+                                   std::int64_t, std::int64_t) {
     const auto idx = decompose_index<4>(flat, ext);
     (void)idx;
     return ctx.ld(dv, std::size_t(flat));
-  };
+  });
   auto res = region.run<std::int32_t>(b);
   ASSERT_TRUE(res.scalar.has_value());
   EXPECT_EQ(*res.scalar, static_cast<std::int32_t>(2 * count));

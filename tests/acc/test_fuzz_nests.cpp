@@ -100,8 +100,8 @@ void run_and_verify(const FuzzCase& fc, std::uint64_t seed) {
   auto out_view = out.view();
 
   reduce::Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     std::size_t idx = static_cast<std::size_t>(k);
     if (accum >= 1) idx = static_cast<std::size_t>(k * nj + std::max<std::int64_t>(j, 0));
     if (accum >= 2) {
@@ -110,13 +110,14 @@ void run_and_verify(const FuzzCase& fc, std::uint64_t seed) {
           std::max<std::int64_t>(i, 0));
     }
     return ctx.ld(in_view, idx);
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j, T r) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, T r) {
     std::size_t s = 0;
     if (use == 0) s = static_cast<std::size_t>(k);
     if (use == 1) s = static_cast<std::size_t>(k * nj + j);
     ctx.st(out_view, s, r);
-  };
+  });
 
   auto res = execute<T>(dev, plan, b);
 

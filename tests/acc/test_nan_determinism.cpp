@@ -104,8 +104,8 @@ void run_cell(Position pos, ReductionOp op, std::uint32_t sim_threads) {
   const int accum = sp.accum;
   const int use = sp.use;
   reduce::Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     std::size_t idx = static_cast<std::size_t>(k);
     if (accum >= 1) {
       idx = static_cast<std::size_t>(k * nj + std::max<std::int64_t>(j, 0));
@@ -116,13 +116,14 @@ void run_cell(Position pos, ReductionOp op, std::uint32_t sim_threads) {
           std::max<std::int64_t>(i, 0));
     }
     return ctx.ld(in_view, idx);
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j, T r) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, T r) {
     std::size_t s = 0;
     if (use == 0) s = static_cast<std::size_t>(k);
     if (use == 1) s = static_cast<std::size_t>(k * nj + j);
     ctx.st(out_view, s, r);
-  };
+  });
 
   const auto res = execute<T>(dev, plan, b);
 

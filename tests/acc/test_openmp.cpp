@@ -76,12 +76,14 @@ TEST(OmpTarget, ReductionEndToEnd) {
       .var("s", DataType::kDouble, 1, 0);
 
   reduce::Bindings<double> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t t, std::int64_t,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t t,
+                                   std::int64_t, std::int64_t i) {
     return ctx.ld(dv, std::size_t(t * kN + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t t, std::int64_t,
-               double r) { ctx.st(ov, std::size_t(t), r); };
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t t,
+                                std::int64_t, double r) {
+    ctx.st(ov, std::size_t(t), r);
+  });
   (void)target.run<double>(b);
 
   for (std::int64_t t = 0; t < kTeams; ++t) {
@@ -109,8 +111,10 @@ TEST(OmpTarget, CombinedTeamsParallelForScalar) {
   EXPECT_EQ(plan.kind, StrategyKind::kSameLoop);
 
   reduce::Bindings<std::int32_t> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t i, std::int64_t,
-                  std::int64_t) { return ctx.ld(dv, std::size_t(i)); };
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t i,
+                                   std::int64_t, std::int64_t) {
+    return ctx.ld(dv, std::size_t(i));
+  });
   auto res = target.run<std::int32_t>(b);
   ASSERT_TRUE(res.scalar.has_value());
   EXPECT_EQ(*res.scalar, 3 * kN);

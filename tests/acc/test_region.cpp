@@ -33,12 +33,14 @@ TEST(Region, VectorReductionEndToEnd) {
   EXPECT_EQ(plan.kind, StrategyKind::kVector);
 
   reduce::Bindings<float> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     return ctx.ld(in_view, std::size_t((k * kNj + j) * kNi + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-               float r) { ctx.st(out_view, std::size_t(k * kNj + j), r); };
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, float r) {
+    ctx.st(out_view, std::size_t(k * kNj + j), r);
+  });
   auto res = region.run<float>(b);
   EXPECT_EQ(res.kernels, 1);
 
@@ -72,8 +74,10 @@ TEST(Region, ScalarSumAcrossAllLevels) {
   EXPECT_EQ(plan.launch.num_workers, 1u);
 
   reduce::Bindings<std::int64_t> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx, std::int64_t,
-                  std::int64_t) { return ctx.ld(in_view, std::size_t(idx)); };
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t idx,
+                                   std::int64_t, std::int64_t) {
+    return ctx.ld(in_view, std::size_t(idx));
+  });
   b.host_init = 1000;
   b.host_init_set = true;
   auto res = region.run<std::int64_t>(b);
@@ -114,13 +118,14 @@ TEST(Region, OpenUHAcceptsSameNest) {
   EXPECT_EQ(plan.kind, StrategyKind::kWorkerVector);
 
   reduce::Bindings<int> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     return ctx.ld(in_view, std::size_t((k * kNj + j) * kNi + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, int r) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t, int r) {
     ctx.st(out_view, std::size_t(k), r);
-  };
+  });
   (void)region.run<int>(b);
   for (int r : out.host_span()) EXPECT_EQ(r, 2 * kNj * kNi);
 }
@@ -138,8 +143,10 @@ TEST(Region, CompiledHandleRunsRepeatedly) {
   const Region::Compiled compiled = region.compile();
   EXPECT_EQ(compiled.plan().kind, StrategyKind::kSameLoop);
   reduce::Bindings<std::int64_t> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t i, std::int64_t,
-                  std::int64_t) { return ctx.ld(dv, std::size_t(i)); };
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t i,
+                                   std::int64_t, std::int64_t) {
+    return ctx.ld(dv, std::size_t(i));
+  });
   for (int r = 0; r < 3; ++r) {
     auto res = compiled.run<std::int64_t>(b);
     ASSERT_TRUE(res.scalar.has_value());
@@ -162,8 +169,10 @@ TEST(Region, ExecuteRejectsTypeMismatch) {
   Region region(dev);
   region.loop("loop gang reduction(+:s)", 100).var("s", DataType::kFloat, 0);
   reduce::Bindings<double> b;
-  b.contrib = [](gpusim::ThreadCtx&, std::int64_t, std::int64_t,
-                 std::int64_t) { return 1.0; };
+  b.contrib = reduce::per_lane([](gpusim::ThreadCtx&, std::int64_t,
+                                  std::int64_t, std::int64_t) {
+    return 1.0;
+  });
   EXPECT_THROW((void)region.run<double>(b), std::invalid_argument);
 }
 
@@ -185,8 +194,10 @@ TEST(Region, ProfilesAgreeOnResults) {
         .loop("loop gang worker vector reduction(*:p)", kN)
         .var("p", DataType::kDouble, 0);
     reduce::Bindings<double> b;
-    b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx, std::int64_t,
-                    std::int64_t) { return ctx.ld(in_view, std::size_t(idx)); };
+    b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t idx,
+                                     std::int64_t, std::int64_t) {
+      return ctx.ld(in_view, std::size_t(idx));
+    });
     auto res = region.run<double>(b);
     ASSERT_TRUE(res.scalar.has_value()) << to_string(id);
     EXPECT_TRUE(testsuite::reduction_result_matches(

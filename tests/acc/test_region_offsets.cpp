@@ -22,8 +22,9 @@ TEST(RegionOffsets, RangeLoopDeliversOriginalIndices) {
   auto sv = sums.view();
   (void)devp;
   reduce::Bindings<std::int64_t> b;
-  b.contrib = [](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                 std::int64_t i) -> std::int64_t {
+  b.contrib = reduce::per_lane([](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                  std::int64_t j,
+                                  std::int64_t i) -> std::int64_t {
     EXPECT_GE(k, 10);
     EXPECT_LT(k, 40);
     EXPECT_GE(j, 0);
@@ -32,13 +33,13 @@ TEST(RegionOffsets, RangeLoopDeliversOriginalIndices) {
     EXPECT_LT(i, 25);
     ctx.alu(1);
     return k * 1000 + i;
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-               std::int64_t r) {
+  });
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, std::int64_t r) {
     EXPECT_GE(k, 10);
     EXPECT_LT(k, 40);
     ctx.st(sv, std::size_t((k - 10) * 2 + j), r);
-  };
+  });
   (void)region.run<std::int64_t>(b);
 
   for (std::int64_t k = 10; k < 40; ++k) {
@@ -62,18 +63,18 @@ TEST(RegionOffsets, InstanceInitSeesOriginalIndices) {
   auto out = dev.alloc<std::int32_t>(4);
   auto ov = out.view();
   reduce::Bindings<std::int32_t> b;
-  b.contrib = [](gpusim::ThreadCtx& ctx, std::int64_t, std::int64_t,
-                 std::int64_t) {
+  b.contrib = reduce::per_lane([](gpusim::ThreadCtx& ctx, std::int64_t,
+                                  std::int64_t, std::int64_t) {
     ctx.alu(1);
     return 1;
-  };
+  });
   b.instance_init = [](std::int64_t k, std::int64_t j) {
     return static_cast<std::int32_t>(k * 10 + j);  // k is 100 or 101
   };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-               std::int32_t r) {
+  b.sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, std::int32_t r) {
     ctx.st(ov, std::size_t((k - 100) * 2 + j), r);
-  };
+  });
   (void)region.run<std::int32_t>(b);
   for (std::int64_t k = 100; k < 102; ++k) {
     for (std::int64_t j = 0; j < 2; ++j) {
@@ -89,11 +90,11 @@ TEST(RegionOffsets, ZeroBasedLoopsTakeTheFastPath) {
   region.loop("loop gang vector reduction(+:t)", 0, 1000)
       .var("t", DataType::kInt32, 0);
   reduce::Bindings<std::int32_t> b;
-  b.contrib = [](gpusim::ThreadCtx& ctx, std::int64_t, std::int64_t,
-                 std::int64_t) {
+  b.contrib = reduce::per_lane([](gpusim::ThreadCtx& ctx, std::int64_t,
+                                  std::int64_t, std::int64_t) {
     ctx.alu(1);
     return 1;
-  };
+  });
   auto res = region.run<std::int32_t>(b);
   EXPECT_EQ(res.scalar.value_or(0), 1000);
 }

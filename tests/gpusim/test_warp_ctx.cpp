@@ -4,8 +4,9 @@
 // events either way. Checked here: masked warp ops book exactly what the
 // equivalent per-lane ThreadCtx ops book; a lane view refuses to
 // synchronize at width 32; whole-warp barrier divergence reads the same at
-// both widths, strict mode included; and the ThreadCtx tree (a width-1
-// view) matches the warp tree.
+// both widths, strict mode included; the ThreadCtx tree (a width-1 view)
+// matches the warp tree; and every Table 2 strategy gives the same stats
+// and results with warp-form bindings as with per-lane bodies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +17,11 @@
 #include <vector>
 
 #include "gpusim/launch.hpp"
+#include "reduce/gang_reduce.hpp"
+#include "reduce/rmp_reduce.hpp"
 #include "reduce/tree.hpp"
 #include "reduce/vector_reduce.hpp"
+#include "reduce/worker_reduce.hpp"
 
 namespace accred {
 namespace {
@@ -216,16 +220,181 @@ TEST(WarpCtx, BindingThatSynchronizesIsRefused) {
   auto in = dev.alloc<int>(64);
   const auto iv = in.view();
   reduce::Bindings<int> b;
-  b.contrib = [iv](ThreadCtx& ctx, std::int64_t, std::int64_t,
-                   std::int64_t i) {
+  b.contrib = reduce::per_lane([iv](ThreadCtx& ctx, std::int64_t, std::int64_t,
+                                    std::int64_t i) {
     ctx.syncthreads();
     return ctx.ld(iv, static_cast<std::size_t>(i));
-  };
-  b.sink = [](ThreadCtx&, std::int64_t, std::int64_t, int) {};
+  });
+  b.sink = reduce::per_lane([](ThreadCtx&, std::int64_t, std::int64_t, int) {});
   EXPECT_THROW((void)reduce::run_vector_reduction<int>(
                    dev, {1, 2, 64}, acc::LaunchConfig{1, 2, 32},
                    acc::ReductionOp::kSum, b),
                std::logic_error);
+}
+
+// ---- Both binding forms, every strategy ------------------------------------
+
+/// Extents that do not divide the 4 x 2 x 64 launch, so window tails leave
+/// prefix masks, and a same-loop extent with a ragged last step.
+constexpr reduce::Nest3 kNest{6, 5, 70};
+constexpr std::int64_t kSameLoopExtent = 1000;
+constexpr std::size_t kInput = 6 * 5 * 70;
+const acc::LaunchConfig kCfg{4, 2, 64};
+
+/// Input element of iteration (k, j, i); -1 (a level the strategy does not
+/// iterate) reads as 0.
+std::size_t input_at(std::int64_t k, std::int64_t j, std::int64_t i) {
+  const auto z = [](std::int64_t x) { return x < 0 ? 0 : x; };
+  return static_cast<std::size_t>((z(k) * kNest.nj + z(j)) * kNest.ni +
+                                  z(i)) %
+         kInput;
+}
+std::size_t sink_at(std::int64_t k, std::int64_t j) {
+  return static_cast<std::size_t>(k * kNest.nj + (j < 0 ? 0 : j));
+}
+
+struct BindingRun {
+  std::string stats;
+  std::vector<double> out;
+  std::vector<double> copy;
+  double scalar = 0;
+};
+
+enum class Strategy {
+  kVector, kWorker, kGang, kWorkerVector, kGangWorker, kGangWorkerVector,
+  kSameLoop,
+};
+
+/// Run `s` with the loop bodies of the Table 2 runner (an affine
+/// contribution, a parallel copy, a sink), bound in warp form or as the
+/// same bodies per lane through reduce::per_lane.
+BindingRun run_strategy(Strategy s, bool warp_form, const SimOptions& sim,
+                        bool spill) {
+  using reduce::LaneIndex;
+  Device dev;
+  auto in = dev.alloc<double>(kInput);
+  auto copy = dev.alloc<double>(kInput);
+  auto out = dev.alloc<double>(static_cast<std::size_t>(kNest.nk * kNest.nj));
+  for (std::size_t e = 0; e < kInput; ++e) {
+    in.host_span()[e] = static_cast<double>(e % 17) * 0.25 + 1.0;
+  }
+  const auto iv = in.view();
+  const auto cv = copy.view();
+  const auto ov = out.view();
+
+  reduce::Bindings<double> b;
+  if (warp_form) {
+    b.contrib = [=](WarpCtx& wc, LaneMask m, const LaneIndex& k,
+                    const LaneIndex& j, const LaneIndex& i,
+                    Lanes<double>& val) {
+      Lanes<std::size_t> idx{};
+      gpusim::for_each_lane(
+          m, [&](std::uint32_t l) { idx[l] = input_at(k[l], j[l], i[l]); });
+      wc.ld(m, iv, idx, val);
+    };
+    b.parallel_work = [=](WarpCtx& wc, LaneMask m, const LaneIndex& k,
+                          const LaneIndex& j, const LaneIndex& i) {
+      Lanes<std::size_t> idx{};
+      gpusim::for_each_lane(
+          m, [&](std::uint32_t l) { idx[l] = input_at(k[l], j[l], i[l]); });
+      Lanes<double> v{};
+      wc.ld(m, iv, idx, v);
+      wc.st(m, cv, idx, v);
+    };
+    b.sink = [=](WarpCtx& wc, LaneMask m, const LaneIndex& k,
+                 const LaneIndex& j, const Lanes<double>& r) {
+      Lanes<std::size_t> idx{};
+      gpusim::for_each_lane(
+          m, [&](std::uint32_t l) { idx[l] = sink_at(k[l], j[l]); });
+      wc.st(m, ov, idx, r);
+    };
+  } else {
+    b.contrib = reduce::per_lane([=](ThreadCtx& ctx, std::int64_t k,
+                                     std::int64_t j, std::int64_t i) {
+      return ctx.ld(iv, input_at(k, j, i));
+    });
+    b.parallel_work = reduce::per_lane([=](ThreadCtx& ctx, std::int64_t k,
+                                           std::int64_t j, std::int64_t i) {
+      ctx.st(cv, input_at(k, j, i), ctx.ld(iv, input_at(k, j, i)));
+    });
+    b.sink = reduce::per_lane([=](ThreadCtx& ctx, std::int64_t k,
+                                  std::int64_t j, double r) {
+      ctx.st(ov, sink_at(k, j), r);
+    });
+  }
+  b.instance_init = [](std::int64_t k, std::int64_t j) {
+    return 0.5 * static_cast<double>(k + j);
+  };
+  b.host_init = 3.0;
+  b.host_init_set = true;
+
+  reduce::StrategyConfig sc;
+  sc.sim = sim;
+  sc.spill_private = spill;
+  const acc::ReductionOp op = acc::ReductionOp::kSum;
+  reduce::ReduceResult<double> res;
+  switch (s) {
+    case Strategy::kVector:
+      res = reduce::run_vector_reduction<double>(dev, kNest, kCfg, op, b, sc);
+      break;
+    case Strategy::kWorker:
+      res = reduce::run_worker_reduction<double>(dev, kNest, kCfg, op, b, sc);
+      break;
+    case Strategy::kGang:
+      res = reduce::run_gang_reduction<double>(dev, kNest, kCfg, op, b, sc);
+      break;
+    case Strategy::kWorkerVector:
+      res = reduce::run_worker_vector_reduction<double>(dev, kNest, kCfg, op,
+                                                        b, sc);
+      break;
+    case Strategy::kGangWorker:
+      res = reduce::run_gang_worker_reduction<double>(dev, kNest, kCfg, op, b,
+                                                      sc);
+      break;
+    case Strategy::kGangWorkerVector:
+      res = reduce::run_gang_worker_vector_reduction<double>(dev, kNest, kCfg,
+                                                             op, b, sc);
+      break;
+    case Strategy::kSameLoop:
+      res = reduce::run_same_loop_reduction<double>(dev, kSameLoopExtent,
+                                                    kCfg, op, b, sc);
+      break;
+  }
+  BindingRun r;
+  r.stats = counters(res.stats);
+  r.out.assign(out.host_span().begin(), out.host_span().end());
+  r.copy.assign(copy.host_span().begin(), copy.host_span().end());
+  r.scalar = res.scalar.value_or(-1.0);
+  return r;
+}
+
+TEST(WarpCtx, BindingFormsAgreeForEveryStrategy) {
+  const std::pair<Strategy, const char*> strategies[] = {
+      {Strategy::kVector, "vector"},
+      {Strategy::kWorker, "worker"},
+      {Strategy::kGang, "gang"},
+      {Strategy::kWorkerVector, "worker-vector"},
+      {Strategy::kGangWorker, "gang-worker"},
+      {Strategy::kGangWorkerVector, "gang-worker-vector"},
+      {Strategy::kSameLoop, "same loop"},
+  };
+  for (const auto& [s, name] : strategies) {
+    for (const bool spill : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (spill ? ", spilled" : ""));
+      const BindingRun warp32 = run_strategy(s, true, {}, spill);
+      const BindingRun lane32 = run_strategy(s, false, {}, spill);
+      const BindingRun warp1 = run_strategy(s, true, width1(), spill);
+      const BindingRun lane1 = run_strategy(s, false, width1(), spill);
+      EXPECT_EQ(warp32.stats, lane32.stats);
+      EXPECT_EQ(warp1.stats, lane1.stats);
+      EXPECT_EQ(warp32.stats, warp1.stats);
+      for (const BindingRun* r : {&lane32, &warp1, &lane1}) {
+        EXPECT_EQ(r->out, warp32.out);
+        EXPECT_EQ(r->copy, warp32.copy);
+        EXPECT_EQ(r->scalar, warp32.scalar);
+      }
+    }
+  }
 }
 
 // ---- Whole-warp barrier divergence ----------------------------------------

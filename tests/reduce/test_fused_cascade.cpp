@@ -64,33 +64,34 @@ ChainLevels<T> run_unfused(const Nest3& n, std::span<const T> host,
   const auto [nk, nj, ni] = n;
 
   Bindings<T> vb;
-  vb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                   std::int64_t i) {
+  vb.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                            std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * nj + j) * ni + i));
-  };
-  vb.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                T r) {
+  });
+  vb.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
+                         T r) {
     ctx.st(vec_view, static_cast<std::size_t>(k * nj + j), r);
-  };
+  });
   auto s1 = run_vector_reduction<T>(dev, n, small_cfg(),
                                     acc::ReductionOp::kSum, vb, sc);
 
   Bindings<T> wb;
-  wb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                   std::int64_t) {
+  wb.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                            std::int64_t j, std::int64_t) {
     return ctx.ld(vec_view, static_cast<std::size_t>(k * nj + j));
-  };
-  wb.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, T r) {
+  });
+  wb.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
+                         T r) {
     ctx.st(wrk_view, static_cast<std::size_t>(k), r);
-  };
+  });
   auto s2 = run_worker_reduction<T>(dev, n, small_cfg(),
                                     acc::ReductionOp::kSum, wb, sc);
 
   Bindings<T> gb;
-  gb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                   std::int64_t) {
+  gb.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                            std::int64_t, std::int64_t) {
     return ctx.ld(wrk_view, static_cast<std::size_t>(k));
-  };
+  });
   auto s3 = run_gang_reduction<T>(dev, n, small_cfg(),
                                   acc::ReductionOp::kSum, gb, sc);
 

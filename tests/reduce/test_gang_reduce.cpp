@@ -25,10 +25,10 @@ gpusim::LaunchStats run_case(acc::ReductionOp op, Nest3 n,
   auto in_view = input.view();
 
   Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                  std::int64_t) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
+                           std::int64_t) {
     return ctx.ld(in_view, static_cast<std::size_t>(k));
-  };
+  });
   if (with_host_init) {
     b.host_init = static_cast<T>(3);
     b.host_init_set = true;
@@ -118,8 +118,10 @@ TEST(GangReduce, PaysTwoLaunchOverheads) {
   input.fill(1);
   auto in_view = input.view();
   Bindings<int> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
-                  std::int64_t) { return ctx.ld(in_view, k); };
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
+                           std::int64_t) {
+    return ctx.ld(in_view, k);
+  });
   auto res = run_gang_reduction<int>(dev, Nest3{100, 1, 1}, small_cfg(),
                                      acc::ReductionOp::kSum, b);
   EXPECT_EQ(res.kernels, 2);

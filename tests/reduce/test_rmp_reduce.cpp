@@ -36,13 +36,14 @@ gpusim::LaunchStats run_wv(acc::ReductionOp op, Nest3 n,
   auto out_view = out.view();
 
   Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t i) {
     return ctx.ld(in_view, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, T r) {
+  });
+  b.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
+                        T r) {
     ctx.st(out_view, static_cast<std::size_t>(k), r);
-  };
+  });
 
   auto res = ordered
                  ? run_worker_vector_reduction_ordered<T>(dev, n, small_cfg(),
@@ -118,16 +119,16 @@ gpusim::LaunchStats run_scalar_span(acc::ReductionOp op, Nest3 n,
 
   Bindings<T> b;
   if (has_vector) {
-    b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                    std::int64_t i) {
+    b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                             std::int64_t j, std::int64_t i) {
       return ctx.ld(in_view,
                     static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-    };
+    });
   } else {
-    b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                    std::int64_t) {
+    b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                             std::int64_t j, std::int64_t) {
       return ctx.ld(in_view, static_cast<std::size_t>(k * n.nj + j));
-    };
+    });
   }
 
   auto res = has_vector
@@ -183,10 +184,10 @@ gpusim::LaunchStats run_same_loop(acc::ReductionOp op, std::int64_t extent,
   auto in_view = input.view();
 
   Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t idx, std::int64_t,
-                  std::int64_t) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t idx,
+                           std::int64_t, std::int64_t) {
     return ctx.ld(in_view, static_cast<std::size_t>(idx));
-  };
+  });
   auto res = run_same_loop_reduction<T>(dev, extent, small_cfg(), op, b, sc);
   EXPECT_TRUE(res.scalar.has_value()) << "scalar result missing";
   if (!res.scalar.has_value()) return res.stats;
@@ -238,16 +239,17 @@ TEST(WorkerVector, HostInitFoldThroughSink) {
   auto in_view = input.view();
   auto out_view = out.view();
   Bindings<int> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t i) {
     return ctx.ld(in_view, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
+  });
   b.instance_init = [](std::int64_t k, std::int64_t) {
     return static_cast<int>(100 * k);
   };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, int r) {
+  b.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
+                        int r) {
     ctx.st(out_view, static_cast<std::size_t>(k), r);
-  };
+  });
   (void)run_worker_vector_reduction<int>(dev, n, small_cfg(),
                                          acc::ReductionOp::kSum, b);
   for (std::int64_t k = 0; k < n.nk; ++k) {

@@ -33,13 +33,14 @@ VectorCaseResult run_case(acc::ReductionOp op, Nest3 n,
   auto out_view = out.view();
 
   Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t i) {
     return ctx.ld(in_view, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j, T r) {
+  });
+  b.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
+                        T r) {
     ctx.st(out_view, static_cast<std::size_t>(k * n.nj + j), r);
-  };
+  });
   if (with_instance_init) {
     b.instance_init = [](std::int64_t k, std::int64_t j) {
       return static_cast<T>(k + j);
@@ -202,19 +203,19 @@ TEST(VectorReduce, ParallelWorkTouchesEveryIteration) {
   auto out_view = out.view();
 
   Bindings<int> b;
-  b.parallel_work = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                        std::int64_t j, std::int64_t i) {
+  b.parallel_work = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                 std::int64_t j, std::int64_t i) {
     const auto idx = static_cast<std::size_t>((k * n.nj + j) * n.ni + i);
     ctx.st(marks_view, idx, ctx.ld(marks_view, idx) + 1);
-  };
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  });
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t i) {
     return ctx.ld(in_view, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-               int r) {
+  });
+  b.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
+                        int r) {
     ctx.st(out_view, static_cast<std::size_t>(k * n.nj + j), r);
-  };
+  });
   (void)run_vector_reduction<int>(dev, n, small_cfg(), acc::ReductionOp::kSum,
                                   b);
   for (int m : marks.host_span()) EXPECT_EQ(m, 1);

@@ -32,13 +32,14 @@ WorkerCaseResult run_case(acc::ReductionOp op, Nest3 n,
   auto out_view = out.view();
 
   Bindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t) {
     return ctx.ld(in_view, static_cast<std::size_t>(k * n.nj + j));
-  };
-  b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, T r) {
+  });
+  b.sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
+                        T r) {
     ctx.st(out_view, static_cast<std::size_t>(k), r);
-  };
+  });
   if (with_instance_init) {
     b.instance_init = [](std::int64_t k, std::int64_t) {
       return static_cast<T>(k);

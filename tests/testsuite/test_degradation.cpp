@@ -48,8 +48,10 @@ struct GuardFixture {
       : plan(testsuite::plan_for_case(acc::CompilerId::kOpenUH, kGangSumInt,
                                       opts)) {
     plan.strategy.sim.sim_threads = 1;
-    bindings.contrib = [](gpusim::ThreadCtx&, std::int64_t, std::int64_t,
-                          std::int64_t) { return std::int32_t{1}; };
+    bindings.contrib = reduce::per_lane([](gpusim::ThreadCtx&, std::int64_t,
+                                           std::int64_t, std::int64_t) {
+      return std::int32_t{1};
+    });
   }
 };
 
