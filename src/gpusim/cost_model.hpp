@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -249,6 +250,38 @@ public:
       global_access_alu1(l, vaddr[l], bytes);
     });
   }
+  /// Affine form of global_access_alu1_lanes for an instruction whose
+  /// lanes are one contiguous run lo..hi, lane lo + n at vaddr0 + n·stride
+  /// (modulo 2^64): it books exactly what the lane-vector form books for
+  /// those addresses. With a stride of at most 128 bytes the run's lines
+  /// have no gap, so when they fit the group's 64-line window the group
+  /// takes them in one bitmap OR instead of a divide and a compare per
+  /// lane; a wider stride or a run past the window marks lane by lane.
+  void global_access_alu1_affine(LaneMask run, std::uint64_t vaddr0,
+                                 std::uint64_t stride, std::uint32_t bytes) {
+    if (run == 0) return;
+    const auto lo = static_cast<std::uint32_t>(std::countr_zero(run));
+    const auto n = static_cast<std::uint32_t>(std::popcount(run));
+    assert(((run >> lo) & ((run >> lo) + 1)) == 0 && "lanes not contiguous");
+    if (prof_ == nullptr) {
+      if (GlobalGroup* g = next_global_group(run)) {
+        dirty_ = true;
+        g->bytes += bytes * n;
+        anchor_global(*g, lo, vaddr0);
+        if (stride > 128 ||
+            !mark_line_run(*g, vaddr0, vaddr0 + (n - 1) * stride + bytes)) {
+          for (std::uint32_t i = 0; i < n; ++i) {
+            mark_lines(*g, vaddr0 + i * stride, bytes);
+          }
+        }
+        alu_.add(run, 1.0);
+        return;
+      }
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      global_access_alu1(lo + i, vaddr0 + i * stride, bytes);
+    }
+  }
   void shared_access_alu1_lanes(LaneMask mask, const std::uint32_t* offset,
                                 std::uint32_t bytes) {
     if (mask == 0) return;
@@ -360,6 +393,20 @@ private:
         g.overflow += 1;
       }
     }
+  }
+
+  /// Mark every line of the bytes [begin, end) in the group's bitmap and
+  /// return true, or return false with nothing marked when they do not all
+  /// fit its 64-line window (or the range wraps past 2^64).
+  static bool mark_line_run(GlobalGroup& g, std::uint64_t begin,
+                            std::uint64_t end) {
+    const std::int64_t rel =
+        static_cast<std::int64_t>(begin / 128) - g.base_line;
+    const std::int64_t rel_end =
+        static_cast<std::int64_t>((end - 1) / 128) - g.base_line;
+    if (rel < 0 || rel_end >= 64 || rel_end < rel) return false;
+    g.bitmap |= (~0ULL << rel) & (~0ULL >> (63 - rel_end));
+    return true;
   }
 
   /// Out-of-line continuations of the access paths: open a new group, book

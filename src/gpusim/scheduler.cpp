@@ -1,7 +1,6 @@
 #include "gpusim/scheduler.hpp"
 
 #include <algorithm>
-#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -47,20 +46,16 @@ void BlockScheduler::run_thread(void* arg, std::uint32_t id) {
 
 void BlockScheduler::run_warp(std::uint32_t w) {
   const std::uint32_t first = w * WarpLog::kWarpSize;
-  const std::uint32_t count =
-      std::min(WarpLog::kWarpSize, cur_nthreads_ - first);
-  // The lane views live on the warp's own fiber stack; ThreadCtx is
-  // trivially destructible, so an abandoned fiber leaks nothing.
-  alignas(ThreadCtx) std::byte storage[WarpLog::kWarpSize * sizeof(ThreadCtx)];
-  for (std::uint32_t l = 0; l < count; ++l) {
-    new (storage + l * sizeof(ThreadCtx))
-        ThreadCtx(block_, thread_idx_[first + l], cur_block_idx_,
-                  cur_block_dim_, cur_grid_dim_);
-  }
-  WarpCtx wc(std::launder(reinterpret_cast<ThreadCtx*>(storage)), count);
+  // Width 32 implies whole-warp rows, so every warp is full. The lane views
+  // are built on first use in slots on the warp's own fiber stack; ThreadCtx
+  // is trivially destructible, so an abandoned fiber leaks nothing.
+  LaneViewSlots views;
+  WarpCtx wc(block_, thread_idx_[first], cur_block_idx_, cur_block_dim_,
+             cur_grid_dim_, views);
   (*cur_warp_kernel_)(wc);
   block_.warp_logs[w].flush_pending();
-  std::fill_n(block_.phase.begin() + first, count, ThreadPhase::kDone);
+  std::fill_n(block_.phase.begin() + first, WarpLog::kWarpSize,
+              ThreadPhase::kDone);
 }
 
 void BlockScheduler::advance_warps(std::uint32_t nwarps) {
@@ -212,7 +207,6 @@ BlockRun BlockScheduler::run_block(const KernelFn* kernel,
   if (!(block_dim == thread_idx_dim_)) build_thread_idx(block_dim);
   cur_kernel_ = kernel;
   cur_warp_kernel_ = warp_kernel;
-  cur_nthreads_ = nthreads;
   cur_block_idx_ = block_idx;
   cur_block_dim_ = block_dim;
   cur_grid_dim_ = grid_dim;

@@ -175,7 +175,8 @@ private:
   /// warp when the block runs one fiber per warp. `arg` is the scheduler.
   static void run_thread(void* arg, std::uint32_t id);
 
-  /// Width 32: build warp `w`'s lane views and run the warp kernel.
+  /// Width 32: run the warp kernel on warp `w` (its lane views are built on
+  /// first use).
   void run_warp(std::uint32_t w);
 
   /// Rebuild thread_idx_ for a new block shape.
@@ -202,7 +203,6 @@ private:
   // Launch parameters of the block currently simulating, for run_thread.
   const KernelFn* cur_kernel_ = nullptr;
   const WarpKernelFn* cur_warp_kernel_ = nullptr;
-  std::uint32_t cur_nthreads_ = 0;
   Dim3 cur_block_idx_{};
   Dim3 cur_block_dim_{};
   Dim3 cur_grid_dim_{};

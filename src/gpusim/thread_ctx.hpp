@@ -238,7 +238,7 @@ public:
   template <typename T>
   [[nodiscard]] T lds(const SharedView<T>& v, std::size_t i) {
     T out;
-    const std::uint32_t off = check_shared(v, i, "shared load");
+    const std::uint32_t off = check_shared(*block_, v, i, "shared load");
     log_->shared_access_alu1(lane_, off, sizeof(T));
     if (block_->racecheck != nullptr) {
       block_->racecheck->shared_access(tid_, off, sizeof(T), /*write=*/false,
@@ -253,7 +253,7 @@ public:
 
   template <typename T>
   void sts(const SharedView<T>& v, std::size_t i, const T& x) {
-    const std::uint32_t off = check_shared(v, i, "shared store");
+    const std::uint32_t off = check_shared(*block_, v, i, "shared store");
     log_->shared_access_alu1(lane_, off, sizeof(T));
     if (block_->racecheck != nullptr) {
       block_->racecheck->shared_access(tid_, off, sizeof(T), /*write=*/true,
@@ -312,13 +312,14 @@ private:
   }
 
   template <typename T>
-  std::uint32_t check_shared(const SharedView<T>& v, std::size_t i,
-                             const char* what) {
+  static std::uint32_t check_shared(const BlockState& block,
+                                    const SharedView<T>& v, std::size_t i,
+                                    const char* what) {
     if (i >= v.count) [[unlikely]] {
       throw_oob(what, "shared view", i, v.count);
     }
     const std::uint32_t off = v.byte_offset_of(i);
-    if (off + sizeof(T) > block_->shared.size()) [[unlikely]] {
+    if (off + sizeof(T) > block.shared.size()) [[unlikely]] {
       throw_slab_end(what);
     }
     return off;

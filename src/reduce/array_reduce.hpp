@@ -11,6 +11,7 @@
 //     kernel finalizes every element (the Fig. 5c pattern, vectorized).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "reduce/finalize.hpp"
@@ -42,6 +43,21 @@ private:
   std::span<T> priv_;
   acc::RuntimeOp<T> op_;
 };
+
+namespace detail {
+
+/// At least `n` values of scratch for the calling host thread, reused by
+/// every array-reduction block it simulates. Its blocks run one at a time
+/// and each warp context takes its own slice, so the first context of a
+/// block to ask sizes it for all of them.
+template <typename T>
+T* array_scratch(std::size_t n) {
+  thread_local std::vector<T> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
+}
+
+}  // namespace detail
 
 template <typename T>
 struct ArrayReduceResult {
@@ -91,22 +107,21 @@ ArrayReduceResult<T> run_array_reduction(gpusim::Device& dev,
           static_cast<std::size_t>(bid) * nthreads + c.tid[l]);
     }
 
-    // Each lane's private copy of the array, and its accumulator bound to
-    // the lane's view.
-    std::vector<T> priv(width * array_len, rop.identity());
-    std::vector<ArrayAccum<T>> accum;
-    accum.reserve(width);
-    for (std::uint32_t l = 0; l < width; ++l) {
-      accum.emplace_back(wc.lane(l),
-                         std::span<T>(priv.data() + l * array_len, array_len),
-                         rop);
-    }
+    // Each lane's private copy of the array, at its linear tid in the host
+    // thread's scratch. A failed launch abandons warps parked at a barrier
+    // without unwinding them, so the warp's frame must own no heap storage.
+    T* const priv = detail::array_scratch<T>(nthreads * array_len) +
+                    static_cast<std::size_t>(c.tid[0]) * array_len;
+    std::fill_n(priv, width * array_len, rop.identity());
     warp_device_loop(
         sc.assignment, extent, gtid, static_cast<std::int64_t>(total_threads),
         all, [&](gpusim::LaneMask m, const gpusim::Lanes<std::int64_t>& idx) {
           wc.alu(m, 2);
           gpusim::for_each_lane(m, [&](std::uint32_t l) {
-            body(wc.lane(l), idx[l], accum[l]);
+            ArrayAccum<T> accum(
+                wc.lane(l), std::span<T>(priv + l * array_len, array_len),
+                rop);
+            body(wc.lane(l), idx[l], accum);
           });
         });
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "gpusim/warp_ctx.hpp"
 #include "util/rng.hpp"
 
 namespace accred::gpusim {
@@ -171,9 +172,11 @@ TEST_F(WarpLogTest, EpochRealignsLaneCounters) {
 
 // ---- Whole-warp booking equals per-lane booking ---------------------------
 //
-// A warp kernel books each warp instruction through one *_lanes call; the
-// lane engine books the same lanes one at a time in ascending lane order.
-// Both must leave every tally, ALU total and epoch cost bit-equal.
+// A warp kernel books each warp instruction through one *_lanes call, or a
+// global one whose lanes are an affine run through the closed-form entry;
+// the lane engine books the same lanes one at a time in ascending lane
+// order. All three forms must leave every tally, ALU total and epoch cost
+// bit-equal.
 
 /// One warp instruction (or barrier) of a seeded program.
 struct WarpOp {
@@ -182,8 +185,8 @@ struct WarpOp {
   std::array<std::uint64_t, WarpLog::kWarpSize> addr{};  ///< vaddr / offset
   std::uint32_t bytes = 4;
   double units = 0;
-  /// Book through the per-lane calls on both logs (a lane view's access in
-  /// a warp kernel), so the two forms mix on the warp log.
+  /// Book through the per-lane calls on every log (a lane view's access in
+  /// a warp kernel), so the forms mix on the warp logs.
   bool lane_calls = false;
 };
 
@@ -206,15 +209,25 @@ void book_per_lane(WarpLog& log, const WarpOp& op) {
   });
 }
 
-void book_warp(WarpLog& log, const WarpOp& op) {
+/// Book `op` as a warp kernel does: one *_lanes call per instruction, or,
+/// with `affine` set, the closed-form entry for a global instruction whose
+/// addresses are affine. Returns true when the closed-form entry booked it.
+bool book_warp(WarpLog& log, const WarpOp& op, bool affine) {
   if (op.lane_calls) {
     book_per_lane(log, op);
-    return;
+    return false;
   }
   switch (op.kind) {
-    case WarpOp::kGlobal:
+    case WarpOp::kGlobal: {
+      // The shape WarpCtx hands to the closed-form entry.
+      AffineRun run;
+      if (affine && affine_run(op.mask, op.addr, run)) {
+        log.global_access_alu1_affine(op.mask, run.first, run.step, op.bytes);
+        return true;
+      }
       log.global_access_alu1_lanes(op.mask, op.addr.data(), op.bytes);
       break;
+    }
     case WarpOp::kShared: {
       std::array<std::uint32_t, WarpLog::kWarpSize> off{};
       for (std::uint32_t l = 0; l < WarpLog::kWarpSize; ++l) {
@@ -229,15 +242,18 @@ void book_warp(WarpLog& log, const WarpOp& op) {
     case WarpOp::kBarrier:
       break;
   }
+  return false;
 }
 
-/// Two logs fed the same instructions, one per booking form. Every barrier
-/// flushes (as a warp pass ends) and closes the epoch, and its costs must
-/// be bit-equal.
-class BookingPair {
+/// Three logs fed the same instructions, one per booking form: lane-vector
+/// calls, lane-vector calls with affine global instructions through the
+/// closed-form entry, and per-lane calls. Every barrier flushes (as a warp
+/// pass ends) and closes the epoch, and its costs must be bit-equal.
+class BookingForms {
 public:
-  BookingPair() {
+  BookingForms() {
     warp_.reset(params_);
+    affine_.reset(params_);
     lane_.reset(params_);
   }
   void book(const WarpOp& op) {
@@ -245,40 +261,83 @@ public:
       barrier();
       return;
     }
-    book_warp(warp_, op);
+    book_warp(warp_, op, /*affine=*/false);
+    affine_ops_ += book_warp(affine_, op, /*affine=*/true) ? 1 : 0;
     book_per_lane(lane_, op);
   }
   void barrier() {
-    warp_.flush_pending();
-    lane_.flush_pending();
-    const double w = warp_.end_epoch();
-    const double l = lane_.end_epoch();
-    EXPECT_EQ(w, l) << "epoch " << epoch_;
+    double cost[3];
+    for (int f = 0; f < 3; ++f) {
+      logs_[f]->flush_pending();
+      cost[f] = logs_[f]->end_epoch();
+    }
+    EXPECT_EQ(cost[0], cost[2]) << "epoch " << epoch_;
+    EXPECT_EQ(cost[1], cost[2]) << "epoch " << epoch_ << " (closed form)";
     ++epoch_;
   }
-  /// Close the last epoch and compare every tally.
+  /// Close the last epoch and compare every tally with the per-lane log.
   void expect_same() {
     barrier();
-    EXPECT_EQ(warp_.gmem_requests, lane_.gmem_requests);
-    EXPECT_EQ(warp_.gmem_segments, lane_.gmem_segments);
-    EXPECT_EQ(warp_.gmem_bytes, lane_.gmem_bytes);
-    EXPECT_EQ(warp_.smem_requests, lane_.smem_requests);
-    EXPECT_EQ(warp_.smem_cycles, lane_.smem_cycles);
-    EXPECT_EQ(warp_.alu_total, lane_.alu_total);
+    for (int f = 0; f < 2; ++f) {
+      SCOPED_TRACE(f == 0 ? "lane-vector form" : "closed form");
+      const WarpLog& w = *logs_[f];
+      EXPECT_EQ(w.gmem_requests, lane_.gmem_requests);
+      EXPECT_EQ(w.gmem_segments, lane_.gmem_segments);
+      EXPECT_EQ(w.gmem_bytes, lane_.gmem_bytes);
+      EXPECT_EQ(w.smem_requests, lane_.smem_requests);
+      EXPECT_EQ(w.smem_cycles, lane_.smem_cycles);
+      EXPECT_EQ(w.alu_total, lane_.alu_total);
+    }
   }
   [[nodiscard]] const WarpLog& lane_log() const { return lane_; }
+  /// Instructions the closed-form entry booked.
+  [[nodiscard]] std::size_t affine_ops() const { return affine_ops_; }
 
 private:
   CostParams params_;
   WarpLog warp_;
+  WarpLog affine_;
   WarpLog lane_;
+  std::array<WarpLog*, 3> logs_{&warp_, &affine_, &lane_};
   std::size_t epoch_ = 0;
+  std::size_t affine_ops_ = 0;
 };
 
-void expect_same_booking(const std::vector<WarpOp>& ops) {
-  BookingPair pair;
-  for (const WarpOp& op : ops) pair.book(op);
-  pair.expect_same();
+/// Book `ops` in all three forms, compare them, and return how many
+/// instructions the closed-form entry booked.
+std::size_t expect_same_booking(const std::vector<WarpOp>& ops) {
+  BookingForms forms;
+  for (const WarpOp& op : ops) forms.book(op);
+  forms.expect_same();
+  return forms.affine_ops();
+}
+
+/// A barrier, then a group anchored by a partial mask: a prefix of the warp
+/// opens group k at line `line` (so its window is lines line-16 ..
+/// line+47), and the rest of the warp joins it with an affine run that ends
+/// on the window's 64th line, ends one line past it, or starts one line
+/// before it.
+void push_anchored_group(util::SplitMix64& rng, std::vector<WarpOp>& ops) {
+  const auto split = static_cast<std::uint32_t>(1 + rng.next_below(31));
+  const std::uint64_t line = 64 + rng.next_below(1 << 12);
+  WarpOp head;
+  head.kind = WarpOp::kGlobal;
+  head.mask = (LaneMask{1} << split) - 1;
+  for (std::uint32_t l = 0; l < split; ++l) head.addr[l] = line * 128 + 4 * l;
+  WarpOp tail;
+  tail.kind = WarpOp::kGlobal;
+  tail.mask = ~head.mask;
+  const std::uint64_t stride = 4 * (1 + rng.next_below(32));  // 4..128 B
+  const std::uint64_t edge = rng.next_below(3);
+  for (std::uint32_t l = split; l < WarpLog::kWarpSize; ++l) {
+    tail.addr[l] =
+        edge == 2 ? (line - 17) * 128 + (l - split) * stride  // before it
+                  : (line + 47 + edge) * 128 + 124 -
+                        (WarpLog::kWarpSize - 1 - l) * stride;  // at/past end
+  }
+  ops.push_back(WarpOp{});
+  ops.push_back(head);
+  ops.push_back(tail);
 }
 
 /// A seeded program mixing every mask and address shape the strategies
@@ -293,9 +352,13 @@ std::vector<WarpOp> seeded_program(std::uint64_t seed, std::size_t count) {
       ops.push_back(op);  // barrier
       continue;
     }
+    if (kind == 1) {
+      push_anchored_group(rng, ops);
+      continue;
+    }
     op.kind = kind < 10 ? WarpOp::kGlobal
                         : (kind < 16 ? WarpOp::kShared : WarpOp::kAlu);
-    switch (rng.next_below(5)) {
+    switch (rng.next_below(6)) {
       case 0:
       case 1:
         op.mask = kAllLanes;
@@ -306,6 +369,12 @@ std::vector<WarpOp> seeded_program(std::uint64_t seed, std::size_t count) {
       case 3:  // one lane: a row's lead lane, the sink
         op.mask = LaneMask{1} << rng.next_below(32);
         break;
+      case 4: {  // a contiguous run that is not a prefix
+        const auto lo = static_cast<std::uint32_t>(1 + rng.next_below(31));
+        const auto len = 1 + rng.next_below(32 - lo);
+        op.mask = static_cast<LaneMask>(((std::uint64_t{1} << len) - 1) << lo);
+        break;
+      }
       default:
         op.mask = static_cast<LaneMask>(rng.next());
         break;
@@ -313,8 +382,12 @@ std::vector<WarpOp> seeded_program(std::uint64_t seed, std::size_t count) {
     op.lane_calls = rng.next_below(8) == 0;
     op.units = 0.25 * static_cast<double>(1 + rng.next_below(12));
     const std::uint64_t base = 0x10000 + 4 * rng.next_below(1 << 16);
-    const std::uint64_t shape = rng.next_below(6);
-    op.bytes = rng.next_below(2) == 0 ? 4 : 8;
+    const std::uint64_t line_base = base & ~std::uint64_t{127};
+    const std::uint64_t low = 4 * rng.next_below(512);  // below line 16
+    const std::uint64_t low_stride = 4 * rng.next_below(33);  // 0..128 B
+    const std::uint64_t mid_stride = 68 + 4 * rng.next_below(15);  // 68..124 B
+    const std::uint64_t shape = rng.next_below(10);
+    op.bytes = shape == 7 || rng.next_below(2) == 0 ? 8 : 4;
     for (std::uint32_t l = 0; l < WarpLog::kWarpSize; ++l) {
       if (op.kind == WarpOp::kShared) {
         const std::uint64_t word =
@@ -332,6 +405,10 @@ std::vector<WarpOp> seeded_program(std::uint64_t seed, std::size_t count) {
           : shape == 2 ? base + std::uint64_t{l} * 3 * 128    // past bitmap
           : shape == 3 ? base + 124 + std::uint64_t{l} * 128  // straddles
           : shape == 4 ? base + (1 << 20) - std::uint64_t{l} * 128  // down
+          : shape == 6 ? line_base + std::uint64_t{l} * 128   // 128-B stride
+          : shape == 7 ? line_base + 124 + std::uint64_t{l} * 8  // straddles
+          : shape == 8 ? low + std::uint64_t{l} * low_stride  // anchor at 0
+          : shape == 9 ? base + std::uint64_t{l} * mid_stride  // 1-2 per line
                        : base + 8 * rng.next_below(1 << 14);  // scattered
     }
     ops.push_back(op);
@@ -340,10 +417,12 @@ std::vector<WarpOp> seeded_program(std::uint64_t seed, std::size_t count) {
 }
 
 TEST(WarpBooking, SeededProgramsBookLikeLanes) {
+  std::size_t affine = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE(seed);
-    expect_same_booking(seeded_program(seed, 600));
+    affine += expect_same_booking(seeded_program(seed, 600));
   }
+  EXPECT_GT(affine, 24u * 60);  // the closed-form entry saw most shapes
 }
 
 TEST(WarpBooking, DivergedLanesFallBackAndRealign) {
@@ -371,13 +450,13 @@ TEST(WarpBooking, LateAccessesAfterWindowRetirement) {
     const bool global = kind == WarpOp::kGlobal;
     const std::size_t window =
         global ? WarpLog::kGlobalWindow : WarpLog::kSharedWindow;
-    BookingPair pair;
+    BookingForms forms;
     WarpOp lead;
     lead.kind = kind;
     lead.mask = 1;
     for (std::size_t n = 0; n < window + 3; ++n) {
       lead.addr[0] = global ? 0x1000 + 128 * (n % 4096) : 4 * (n % 1024);
-      pair.book(lead);
+      forms.book(lead);
     }
     WarpOp rest;
     rest.kind = kind;
@@ -385,15 +464,15 @@ TEST(WarpBooking, LateAccessesAfterWindowRetirement) {
     for (std::uint32_t l = 0; l < WarpLog::kWarpSize; ++l) {
       rest.addr[l] = global ? 0x9000 + 4 * l : 4 * l;
     }
-    pair.book(rest);
-    pair.book(rest);
+    forms.book(rest);
+    forms.book(rest);
     rest.mask = kAllLanes;
-    pair.book(rest);
-    pair.expect_same();
+    forms.book(rest);
+    forms.expect_same();
     // Lane 0 booked window + 4 groups; lanes 1..31 hit the three retired
     // ordinals 0..2 late, one standalone request each.
-    const std::uint64_t requests = global ? pair.lane_log().gmem_requests
-                                          : pair.lane_log().smem_requests;
+    const std::uint64_t requests = global ? forms.lane_log().gmem_requests
+                                          : forms.lane_log().smem_requests;
     EXPECT_EQ(requests, window + 4 + 3 * 31);
   }
 }
