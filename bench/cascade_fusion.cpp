@@ -119,7 +119,7 @@ Ablation run_fig4_chain(std::int64_t r) {
         {acc::ReductionOp::kSum, acc::Par::kGang, "sum"},
     };
     reduce::FusedChainBindings<double> fb;
-    fb.contrib = load;
+    fb.contrib = reduce::per_lane(load);
     auto fused = reduce::run_fused_chain<double>(dev, chain, dims, cfg, fb,
                                                  sc);
     ab.fused_stats = fused.stats;

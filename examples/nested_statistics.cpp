@@ -33,16 +33,18 @@ int run(const util::Cli& cli, obs::RunRecord&) {
   auto peaks = dev.alloc<double>(static_cast<std::size_t>(n.nk));
   auto pv = peaks.view();
 
+  // Per-lane bodies, each run on one lane's view by reduce::per_lane.
   reduce::FusedChainBindings<double> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                   std::int64_t j, std::int64_t i) {
     const double v = ctx.ld(cv, std::size_t((k * n.nj + j) * n.ni + i));
     ctx.alu(1);
     return v * v;  // energy
-  };
-  b.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, double r) {
+  });
+  b.worker_sink = reduce::per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                       std::int64_t, double r) {
     ctx.st(pv, std::size_t(k), r);
-  };
+  });
 
   const std::vector<acc::FusedStage> chain = {
       {acc::ReductionOp::kSum, acc::Par::kVector, "row_energy"},

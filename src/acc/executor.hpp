@@ -75,29 +75,13 @@ reduce::ReduceResult<T> execute(gpusim::Device& dev, const ExecutionPlan& plan,
             "execute<T>: fused chains not ending at the gang level need "
             "run_fused_chain with per-stage sinks");
       }
-      // The fused kernel is a ThreadCtx kernel: the warp-form bindings run
-      // on a width-1 view of each lane.
       reduce::FusedChainBindings<T> fb;
-      fb.contrib = [&b](gpusim::ThreadCtx& ctx, std::int64_t k,
-                        std::int64_t j, std::int64_t i) {
-        return reduce::detail::lane_contrib(b, ctx, k, j, i);
-      };
-      if (b.parallel_work) {
-        fb.parallel_work = [&b](gpusim::ThreadCtx& ctx, std::int64_t k,
-                                std::int64_t j, std::int64_t i) {
-          gpusim::WarpCtx wc(ctx);
-          b.parallel_work(wc, 1, reduce::LaneIndex{k}, reduce::LaneIndex{j},
-                          reduce::LaneIndex{i});
-        };
-      }
-      if (b.instance_init) {
-        if (plan.chain.front().level == Par::kVector) {
-          fb.vector_init = b.instance_init;
-        } else {
-          fb.worker_init = [&b](std::int64_t k) {
-            return b.instance_init(k, -1);
-          };
-        }
+      fb.contrib = b.contrib;
+      fb.parallel_work = b.parallel_work;
+      if (plan.chain.front().level == Par::kVector) {
+        fb.vector_init = b.instance_init;
+      } else {
+        fb.worker_init = b.instance_init;
       }
       fb.host_init = b.host_init;
       fb.host_init_set = b.host_init_set;

@@ -90,22 +90,40 @@ MatmulResult run_matmul_sequential_k(const MatmulOptions& opts) {
 
   const auto& cfg = opts.config;
   // i over gangs, j over the block's worker*vector threads, k serial —
-  // the conventional mapping, as a plain Fig. 3 kernel.
+  // the conventional mapping, as a plain Fig. 3 kernel. A warp kernel: per
+  // k step, the lanes still inside the row (a prefix of the warp) load
+  // A[i][k] and B[k][j] as warp ops.
   auto stats = gpusim::launch(
       dev, {cfg.num_gangs}, {cfg.vector_length, cfg.num_workers}, 0,
-      [&, av, bv, cv](gpusim::ThreadCtx& ctx) {
-        const std::int64_t threads = ctx.blockDim.count();
-        const std::int64_t tid = ctx.linear_tid();
-        for (std::int64_t i = ctx.blockIdx.x; i < n; i += ctx.gridDim.x) {
-          for (std::int64_t j = tid; j < n; j += threads) {
-            float acc = 0.0F;
-            for (std::int64_t k = 0; k < n; ++k) {
-              acc += ctx.ld(av, static_cast<std::size_t>(i * n + k)) *
-                     ctx.ld(bv, static_cast<std::size_t>(k * n + j));
-              ctx.alu(3);
-            }
-            ctx.st(cv, static_cast<std::size_t>(i * n + j), acc);
-          }
+      [&, av, bv, cv](gpusim::WarpCtx& wc) {
+        const std::int64_t threads = wc.blockDim.count();
+        gpusim::Lanes<std::int64_t> tid{};
+        for (std::uint32_t l = 0; l < wc.width(); ++l) {
+          tid[l] = wc.linear_tid(l);
+        }
+        gpusim::Lanes<std::int64_t> at{};
+        gpusim::Lanes<float> x{};
+        gpusim::Lanes<float> y{};
+        gpusim::Lanes<float> acc{};
+        for (std::int64_t i = wc.blockIdx.x; i < n; i += wc.gridDim.x) {
+          reduce::warp_device_loop(
+              reduce::Assignment::kWindow, n, tid, threads, wc.lanes(),
+              [&](gpusim::LaneMask m, const gpusim::Lanes<std::int64_t>& j) {
+                gpusim::for_each_lane(m, [&](std::uint32_t l) { acc[l] = 0; });
+                for (std::int64_t k = 0; k < n; ++k) {
+                  at.fill(i * n + k);
+                  wc.ld(m, av, at, x);
+                  gpusim::for_each_lane(
+                      m, [&](std::uint32_t l) { at[l] = k * n + j[l]; });
+                  wc.ld(m, bv, at, y);
+                  gpusim::for_each_lane(
+                      m, [&](std::uint32_t l) { acc[l] += x[l] * y[l]; });
+                  wc.alu(m, 3);
+                }
+                gpusim::for_each_lane(
+                    m, [&](std::uint32_t l) { at[l] = i * n + j[l]; });
+                wc.st(m, cv, at, acc);
+              });
         }
       },
       gpusim::SimOptions{.label = "matmul_sequential_k"});

@@ -224,27 +224,24 @@ public:
   /// instruction instead of one per lane: when every lane of the mask is
   /// at the same access ordinal, the instruction is one group lookup (the
   /// lowest lane opens or finds the group, as it would first in lane
-  /// order); any other mask, a late ordinal or an armed profiler books
-  /// lane by lane.
+  /// order); any other mask or a late ordinal books lane by lane. Only a
+  /// width-32 warp context calls these, and the width rule never arms a
+  /// profiler there (profiling runs at width 1), so they book no stage.
   void alu_lanes(LaneMask mask, double units) {
-    if (prof_ != nullptr) {
-      for_each_lane(mask, [&](std::uint32_t l) { alu(l, units); });
-      return;
-    }
+    assert(prof_ == nullptr && "warp-instruction forms book no stage");
     if (mask == 0) return;
     dirty_ = true;
     alu_.add(mask, units);
   }
   void global_access_alu1_lanes(LaneMask mask, const std::uint64_t* vaddr,
                                 std::uint32_t bytes) {
+    assert(prof_ == nullptr && "warp-instruction forms book no stage");
     if (mask == 0) return;
-    if (prof_ == nullptr) {
-      if (GlobalGroup* g = next_global_group(mask)) {
-        dirty_ = true;
-        apply_global_lanes(*g, mask, vaddr, bytes);
-        alu_.add(mask, 1.0);
-        return;
-      }
+    if (GlobalGroup* g = next_global_group(mask)) {
+      dirty_ = true;
+      apply_global_lanes(*g, mask, vaddr, bytes);
+      alu_.add(mask, 1.0);
+      return;
     }
     for_each_lane(mask, [&](std::uint32_t l) {
       global_access_alu1(l, vaddr[l], bytes);
@@ -263,20 +260,19 @@ public:
     const auto lo = static_cast<std::uint32_t>(std::countr_zero(run));
     const auto n = static_cast<std::uint32_t>(std::popcount(run));
     assert(((run >> lo) & ((run >> lo) + 1)) == 0 && "lanes not contiguous");
-    if (prof_ == nullptr) {
-      if (GlobalGroup* g = next_global_group(run)) {
-        dirty_ = true;
-        g->bytes += bytes * n;
-        anchor_global(*g, lo, vaddr0);
-        if (stride > 128 ||
-            !mark_line_run(*g, vaddr0, vaddr0 + (n - 1) * stride + bytes)) {
-          for (std::uint32_t i = 0; i < n; ++i) {
-            mark_lines(*g, vaddr0 + i * stride, bytes);
-          }
+    assert(prof_ == nullptr && "warp-instruction forms book no stage");
+    if (GlobalGroup* g = next_global_group(run)) {
+      dirty_ = true;
+      g->bytes += bytes * n;
+      anchor_global(*g, lo, vaddr0);
+      if (stride > 128 ||
+          !mark_line_run(*g, vaddr0, vaddr0 + (n - 1) * stride + bytes)) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+          mark_lines(*g, vaddr0 + i * stride, bytes);
         }
-        alu_.add(run, 1.0);
-        return;
       }
+      alu_.add(run, 1.0);
+      return;
     }
     for (std::uint32_t i = 0; i < n; ++i) {
       global_access_alu1(lo + i, vaddr0 + i * stride, bytes);
@@ -284,16 +280,15 @@ public:
   }
   void shared_access_alu1_lanes(LaneMask mask, const std::uint32_t* offset,
                                 std::uint32_t bytes) {
+    assert(prof_ == nullptr && "warp-instruction forms book no stage");
     if (mask == 0) return;
-    if (prof_ == nullptr) {
-      if (SharedGroup* g = next_shared_group(mask)) {
-        dirty_ = true;
-        for_each_lane(mask, [&](std::uint32_t l) {
-          if (g->n < kWarpSize) g->word[g->n++] = offset[l] / 4;
-        });
-        alu_.add(mask, 1.0);
-        return;
-      }
+    if (SharedGroup* g = next_shared_group(mask)) {
+      dirty_ = true;
+      for_each_lane(mask, [&](std::uint32_t l) {
+        if (g->n < kWarpSize) g->word[g->n++] = offset[l] / 4;
+      });
+      alu_.add(mask, 1.0);
+      return;
     }
     for_each_lane(mask, [&](std::uint32_t l) {
       shared_access_alu1(l, offset[l], bytes);

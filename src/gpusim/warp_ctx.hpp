@@ -2,9 +2,9 @@
 // once per warp of a block against a WarpCtx, which issues every memory
 // access, ALU charge and barrier for a set of lanes at once: the shape of
 // the paper's strategies, whose staging, trees and loops are warp
-// instructions. Per-lane work (bodies wrapped by reduce::per_lane,
-// array-reduction bodies) runs through lane(l), a ThreadCtx view of one
-// lane.
+// instructions. Per-lane work (bodies wrapped by reduce::per_lane, and the
+// payload, multi-variable and array-reduction bodies) runs through lane(l),
+// a ThreadCtx view of one lane.
 //
 // launch() runs a warp kernel at one of two widths:
 //   * 32: one lazily bound fiber per warp. A barrier parks the warp once
@@ -207,6 +207,7 @@ public:
       if (m & 1U) lane(0).touch_global(vaddr[0], bytes);
       return;
     }
+    if (m == 0) return;
     AffineRun r;
     if (affine_run(m, vaddr, r, 128)) {
       log_->global_access_alu1_affine(m, r.first, r.step, bytes);
@@ -216,6 +217,7 @@ public:
   }
 
   // ---- Lane-vector memory ops: lane l of `m` accesses element idx[l] ----
+  // An empty mask issues nothing: its indices are never read or checked.
 
   template <typename T, typename I>
   void ld(LaneMask m, const GlobalView<T>& v, const Lanes<I>& idx,
@@ -224,6 +226,7 @@ public:
       if (m & 1U) out[0] = lane(0).ld(v, static_cast<std::size_t>(idx[0]));
       return;
     }
+    if (m == 0) return;
     if (!book_affine(m, v, idx)) book_lanes(m, v, idx, "global load");
     for_each_lane(m, [&](std::uint32_t l) {
       out[l] = v.data[static_cast<std::size_t>(idx[l])];
@@ -237,6 +240,7 @@ public:
       if (m & 1U) lane(0).st(v, static_cast<std::size_t>(idx[0]), x[0]);
       return;
     }
+    if (m == 0) return;
     if (!book_affine(m, v, idx)) book_lanes(m, v, idx, "global store");
     for_each_lane(m, [&](std::uint32_t l) {
       v.data[static_cast<std::size_t>(idx[l])] = x[l];
@@ -250,6 +254,7 @@ public:
       if (m & 1U) out[0] = lane(0).lds(v, static_cast<std::size_t>(idx[0]));
       return;
     }
+    if (m == 0) return;
     Lanes<std::uint32_t> off{};
     for_each_lane(m, [&](std::uint32_t l) {
       off[l] = ThreadCtx::check_shared(
@@ -268,6 +273,7 @@ public:
       if (m & 1U) lane(0).sts(v, static_cast<std::size_t>(idx[0]), x[0]);
       return;
     }
+    if (m == 0) return;
     Lanes<std::uint32_t> off{};
     for_each_lane(m, [&](std::uint32_t l) {
       off[l] = ThreadCtx::check_shared(

@@ -30,27 +30,26 @@
 
 namespace accred::reduce {
 
-/// Loop-body callables for a fused chain. Stage-specific members are
-/// ignored when the chain lacks that stage.
+/// Loop-body callables for a fused chain, in the warp form of Bindings<T>
+/// (strategy.hpp): a per-lane body wraps in per_lane(). Stage-specific
+/// members are ignored when the chain lacks that stage.
 template <typename T>
 struct FusedChainBindings {
   /// Innermost contribution: (k, j, i) with a vector stage, else (k, j, -1).
-  std::function<T(gpusim::ThreadCtx&, std::int64_t k, std::int64_t j,
-                  std::int64_t i)>
-      contrib;
+  decltype(Bindings<T>::contrib) contrib;
   /// Optional non-reduction work on the innermost iterations (the Fig. 4
   /// parallel copy); only run when the chain has a vector stage.
-  std::function<void(gpusim::ThreadCtx&, std::int64_t k, std::int64_t j,
-                     std::int64_t i)>
-      parallel_work;
+  decltype(Bindings<T>::parallel_work) parallel_work;
   /// Per-instance initial values (§3.1.1's rule, per stage): `i_sum = j`
-  /// and `j_sum = k` in Fig. 4. Null = the stage operator's identity.
-  std::function<T(std::int64_t k, std::int64_t j)> vector_init;
-  std::function<T(std::int64_t k)> worker_init;
-  /// Optional per-instance result observers, run by one device thread.
-  std::function<void(gpusim::ThreadCtx&, std::int64_t k, std::int64_t j, T)>
-      vector_sink;
-  std::function<void(gpusim::ThreadCtx&, std::int64_t k, T)> worker_sink;
+  /// and `j_sum = k` in Fig. 4; the worker stage's sees j = -1. Null = the
+  /// stage operator's identity.
+  decltype(Bindings<T>::instance_init) vector_init;
+  decltype(Bindings<T>::instance_init) worker_init;
+  /// Optional per-instance result observers: lane l of the mask is the one
+  /// device thread holding instance (k[l], j[l])'s result[l]. The worker
+  /// stage's sees j = -1.
+  decltype(Bindings<T>::sink) vector_sink;
+  decltype(Bindings<T>::sink) worker_sink;
   /// Incoming value of the outermost stage's variable; folded into the
   /// returned scalar (gang-terminated chains only).
   T host_init{};
@@ -106,78 +105,107 @@ ReduceResult<T> run_fused_chain(gpusim::Device& dev,
     pview = partial.view();
   }
 
-  auto kernel = [=, &b](gpusim::ThreadCtx& ctx) {
+  auto kernel = [=, &b](gpusim::WarpCtx& wc) {
     const acc::RuntimeOp<T> vop{vector_op};
     const acc::RuntimeOp<T> wop{worker_op};
     const acc::RuntimeOp<T> gop{gang_op};
-    const std::uint32_t x = ctx.threadIdx.x;
-    const std::uint32_t y = ctx.threadIdx.y;
-    const std::uint32_t bid = ctx.blockIdx.x;
+    const detail::LaneCoords c(wc);
+    const gpusim::LaneMask all = wc.lanes();
+    const std::uint32_t bid = wc.blockIdx.x;
+    const gpusim::LaneMask first_lanes =
+        gpusim::lanes_where(all, [&](std::uint32_t l) { return c.x[l] == 0; });
+    const gpusim::LaneMask lead = gpusim::lanes_where(
+        all, [&](std::uint32_t l) { return c.x[l] == 0 && c.y[l] == 0; });
+    // Vector rows of the slab, and the worker tree's participants: the
+    // first row's vector lanes.
+    gpusim::Lanes<std::uint32_t> row{};
+    gpusim::Lanes<std::uint32_t> slot{};
+    gpusim::Lanes<std::uint32_t> first_row{};
+    for (std::uint32_t l = 0; l < wc.width(); ++l) {
+      row[l] = c.y[l] * v;
+      slot[l] = row[l] + c.x[l];
+      first_row[l] = c.y[l] == 0 ? c.x[l] : ~std::uint32_t{0};
+    }
+    // A stage's results in the lanes of `m`: fold in each instance's
+    // initial value, then hand them to the stage's sink, if any.
+    const auto finish = [&](const auto& init, const auto& sink,
+                            const acc::RuntimeOp<T>& op, gpusim::LaneMask m,
+                            const LaneIndex& k, const LaneIndex& j,
+                            gpusim::Lanes<T>& r) {
+      if (m == 0) return;
+      if (init) {
+        gpusim::for_each_lane(m, [&](std::uint32_t l) {
+          r[l] = op.apply(init(k[l], j[l]), r[l]);
+        });
+      }
+      if (sink) sink(wc, m, k, j, r);
+    };
 
-    T gang_priv = gop.identity();
+    gpusim::Lanes<T> gang_priv;
+    gang_priv.fill(gop.identity());
+    gpusim::Lanes<T> r{};
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
-      T worker_priv = wop.identity();
+      const LaneIndex kk = detail::splat(k);
+      gpusim::Lanes<T> worker_priv;
+      worker_priv.fill(wop.identity());
       // Padded: with a vector stage the body stages + runs a
       // barrier-synchronized tree per (k, j) instance.
-      assigned_loop(sc.assignment, n.nj, y, w, [&](std::int64_t j, bool ja) {
-        if (sv) {
-          T vector_priv = vop.identity();
-          if (ja) {
-            auto prof = ctx.prof_scope("private_partial");
-            device_loop(sc.assignment, n.ni, x, v, [&](std::int64_t i) {
-              ctx.alu(2);
-              if (b.parallel_work) b.parallel_work(ctx, k, j, i);
-              vector_priv = vop.apply(vector_priv, b.contrib(ctx, k, j, i));
-              ctx.alu(1);
-              detail::touch_spill(ctx, sc, sizeof(T));
-            });
-          }
-          {
-            auto prof = ctx.prof_scope("staging");
-            ctx.sts(sbuf, y * v + x, vector_priv);
-          }
-          block_tree_reduce(ctx, sbuf, y * v, v, 1, x, vop, sc.tree);
-          auto prof = ctx.prof_scope("finalize");
-          if (x == 0 && ja) {
-            T vec_result = ctx.lds(sbuf, y * v);
-            if (b.vector_init) {
-              vec_result = vop.apply(b.vector_init(k, j), vec_result);
+      warp_assigned_loop(
+          sc.assignment, n.nj, c.y, w, all,
+          [&](const LaneIndex& j, gpusim::LaneMask ja) {
+            const gpusim::LaneMask leads = ja & first_lanes;
+            if (sv) {
+              gpusim::Lanes<T> vector_priv;
+              vector_priv.fill(vop.identity());
+              if (ja != 0) {
+                auto prof = wc.prof_scope("private_partial");
+                gpusim::Lanes<T> val{};
+                warp_device_loop(
+                    sc.assignment, n.ni, c.x, v, ja,
+                    [&](gpusim::LaneMask m, const LaneIndex& i) {
+                      detail::fold_step(wc, sc, b, vop, m, kk, j, i,
+                                        vector_priv, val);
+                    });
+              }
+              {
+                auto prof = wc.prof_scope("staging");
+                wc.sts(all, sbuf, slot, vector_priv);
+              }
+              block_tree_reduce(wc, sbuf, row, v, 1, c.x, vop, sc.tree);
+              auto prof = wc.prof_scope("finalize");
+              wc.lds(leads, sbuf, row, r);
+              finish(b.vector_init, b.vector_sink, vop, leads, kk, j, r);
+              detail::fold_lanes(wop, leads, worker_priv, r);
+              wc.alu(leads, 1);
+              wc.syncthreads();  // the slab is reused by the next instance
+            } else if (leads != 0) {
+              auto prof = wc.prof_scope("private_partial");
+              b.contrib(wc, leads, kk, j, detail::kNoIndex, r);
+              detail::fold_lanes(wop, leads, worker_priv, r);
+              wc.alu(leads, 3);
+              detail::touch_spill(wc, leads, sc, sizeof(T));
             }
-            if (b.vector_sink) b.vector_sink(ctx, k, j, vec_result);
-            worker_priv = wop.apply(worker_priv, vec_result);
-            ctx.alu(1);
-          }
-          ctx.syncthreads();  // the slab is reused by the next instance
-        } else if (x == 0 && ja) {
-          auto prof = ctx.prof_scope("private_partial");
-          worker_priv = wop.apply(worker_priv, b.contrib(ctx, k, j, -1));
-          ctx.alu(3);
-          detail::touch_spill(ctx, sc, sizeof(T));
-        }
-      });
+          });
       // Worker tree per k over the lane-0 accumulators (Fig. 8c shape),
       // reusing the slab's first w slots.
       {
-        auto prof = ctx.prof_scope("staging");
-        if (x == 0) ctx.sts(sbuf, y, worker_priv);
+        auto prof = wc.prof_scope("staging");
+        wc.sts(first_lanes, sbuf, c.y, worker_priv);
       }
-      block_tree_reduce(ctx, sbuf, 0, w, 1, y == 0 ? x : ~std::uint32_t{0},
-                        wop, sc.tree);
-      auto prof = ctx.prof_scope("finalize");
-      if (x == 0 && y == 0) {
-        T k_result = ctx.lds(sbuf, 0);
-        if (b.worker_init) k_result = wop.apply(b.worker_init(k), k_result);
-        if (b.worker_sink) b.worker_sink(ctx, k, k_result);
-        if (sg) {
-          gang_priv = gop.apply(gang_priv, k_result);
-          ctx.alu(1);
-        }
+      block_tree_reduce(wc, sbuf, {}, w, 1, first_row, wop, sc.tree);
+      auto prof = wc.prof_scope("finalize");
+      wc.lds(lead, sbuf, gpusim::Lanes<std::uint32_t>{}, r);
+      finish(b.worker_init, b.worker_sink, wop, lead, kk, detail::kNoIndex,
+             r);
+      if (sg) {
+        detail::fold_lanes(gop, lead, gang_priv, r);
+        wc.alu(lead, 1);
       }
-      ctx.syncthreads();  // the slab is reused by the next k instance
+      wc.syncthreads();  // the slab is reused by the next k instance
     });
     if (sg) {
-      auto prof = ctx.prof_scope("staging");
-      if (x == 0 && y == 0) ctx.st(pview, bid, gang_priv);
+      auto prof = wc.prof_scope("staging");
+      wc.st(lead, pview, detail::splat(bid), gang_priv);
     }
   };
 

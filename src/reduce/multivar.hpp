@@ -34,7 +34,9 @@ struct MultiVarSpec {
   acc::ReductionOp op = acc::ReductionOp::kSum;
   acc::DataType type = acc::DataType::kInt32;
   std::string name;
-  /// Contribution of iteration (k, j, i), as the variable's own type.
+  /// Contribution of iteration (k, j, i), as the variable's own type. It
+  /// runs on each active lane's view (WarpCtx::lane), lowest lane first,
+  /// and must not synchronize.
   std::function<ScalarValue(gpusim::ThreadCtx&, std::int64_t k,
                             std::int64_t j, std::int64_t i)>
       contrib;
@@ -108,35 +110,44 @@ inline MultiReduceResult run_multi_worker_vector_reduction(
   auto ov = out.view();
   auto rov = raw_out.view();
 
-  auto kernel = [&, ov, rov](gpusim::ThreadCtx& ctx) {
-    const std::uint32_t x = ctx.threadIdx.x;
-    const std::uint32_t y = ctx.threadIdx.y;
-    const std::uint32_t tid = ctx.linear_tid();
-    const std::uint32_t bid = ctx.blockIdx.x;
+  auto kernel = [&, ov, rov](gpusim::WarpCtx& wc) {
+    const detail::LaneCoords c(wc);
+    const gpusim::LaneMask all = wc.lanes();
+    const std::uint32_t bid = wc.blockIdx.x;
+    const gpusim::LaneMask lead = gpusim::lanes_where(
+        all, [&](std::uint32_t l) { return c.tid[l] == 0; });
 
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
       // One pass over the data accumulates every variable's private.
-      std::array<ScalarValue, kMaxVars> priv;
+      std::array<gpusim::Lanes<ScalarValue>, kMaxVars> priv;
       for (std::size_t m = 0; m < vars.size(); ++m) {
         dispatch_type(vars[m].type, [&](auto tag) {
           using T = typename decltype(tag)::type;
-          priv[m] = acc::RuntimeOp<T>{vars[m].op}.identity();
+          priv[m].fill(acc::RuntimeOp<T>{vars[m].op}.identity());
         });
       }
-      device_loop(sc.assignment, n.nj, y, w, [&](std::int64_t j) {
-        device_loop(sc.assignment, n.ni, x, v, [&](std::int64_t i) {
-          ctx.alu(2);
-          for (std::size_t m = 0; m < vars.size(); ++m) {
-            const ScalarValue c = vars[m].contrib(ctx, k, j, i);
-            dispatch_type(vars[m].type, [&](auto tag) {
-              using T = typename decltype(tag)::type;
-              priv[m] = acc::RuntimeOp<T>{vars[m].op}.apply(
-                  std::get<T>(priv[m]), std::get<T>(c));
-            });
-            ctx.alu(1);
-          }
-        });
-      });
+      warp_device_loop(
+          sc.assignment, n.nj, c.y, w, all,
+          [&](gpusim::LaneMask mj, const LaneIndex& j) {
+            warp_device_loop(
+                sc.assignment, n.ni, c.x, v, mj,
+                [&](gpusim::LaneMask mi, const LaneIndex& i) {
+                  wc.alu(mi, 2);
+                  for (std::size_t m = 0; m < vars.size(); ++m) {
+                    dispatch_type(vars[m].type, [&](auto tag) {
+                      using T = typename decltype(tag)::type;
+                      const acc::RuntimeOp<T> rop{vars[m].op};
+                      gpusim::for_each_lane(mi, [&](std::uint32_t l) {
+                        const ScalarValue x =
+                            vars[m].contrib(wc.lane(l), k, j[l], i[l]);
+                        priv[m][l] = rop.apply(std::get<T>(priv[m][l]),
+                                               std::get<T>(x));
+                      });
+                    });
+                    wc.alu(mi, 1);
+                  }
+                });
+          });
       // Sequential staging + tree per variable; under the max-slab policy
       // every variable reuses the same bytes.
       for (std::size_t m = 0; m < vars.size(); ++m) {
@@ -144,22 +155,31 @@ inline MultiReduceResult run_multi_worker_vector_reduction(
           using T = typename decltype(tag)::type;
           const auto sbuf =
               gpusim::SharedLayout::view_at<T>(var_offset[m], nthreads);
-          ctx.sts(sbuf, tid, std::get<T>(priv[m]));
-          block_tree_reduce(ctx, sbuf, 0, nthreads, 1, tid,
+          gpusim::Lanes<T> val{};
+          for (std::uint32_t l = 0; l < wc.width(); ++l) {
+            val[l] = std::get<T>(priv[m][l]);
+          }
+          wc.sts(all, sbuf, c.tid, val);
+          block_tree_reduce(wc, sbuf, {}, nthreads, 1, c.tid,
                             acc::RuntimeOp<T>{vars[m].op}, sc.tree);
-          if (tid == 0) {
-            const T r = ctx.lds(sbuf, 0);
-            const std::size_t slot =
-                m * static_cast<std::size_t>(n.nk) +
-                static_cast<std::size_t>(k);
-            if constexpr (std::floating_point<T>) {
-              ctx.st(ov, slot, static_cast<double>(r));
-            } else {
-              ctx.st(rov, slot, static_cast<std::int64_t>(r));
-            }
+          wc.lds(lead, sbuf, gpusim::Lanes<std::uint32_t>{}, val);
+          const LaneIndex at =
+              detail::splat(static_cast<std::int64_t>(m) * n.nk + k);
+          if constexpr (std::floating_point<T>) {
+            gpusim::Lanes<double> r{};
+            gpusim::for_each_lane(lead, [&](std::uint32_t l) {
+              r[l] = static_cast<double>(val[l]);
+            });
+            wc.st(lead, ov, at, r);
+          } else {
+            gpusim::Lanes<std::int64_t> r{};
+            gpusim::for_each_lane(lead, [&](std::uint32_t l) {
+              r[l] = static_cast<std::int64_t>(val[l]);
+            });
+            wc.st(lead, rov, at, r);
           }
         });
-        ctx.syncthreads();  // slab is reused by the next variable
+        wc.syncthreads();  // slab is reused by the next variable
       }
     });
   };

@@ -2,7 +2,7 @@
 // trivially-copyable structs (value+index pairs, moment pairs) folded with
 // any associative+commutative op exposing the RuntimeOp shape —
 // `identity()` / `.apply(a, b)`. The staging/tree/finalize pipeline is
-// byte-oriented underneath (ThreadCtx ld/st/lds/sts memcpy elements), so
+// byte-oriented underneath (warp and lane ld/st/lds/sts copy elements), so
 // pairs flow through shared memory, the racecheck shadow, and the fault
 // injector exactly like scalars do.
 //
@@ -29,9 +29,11 @@ struct PayloadReduceResult {
 };
 
 /// Reduce `extent` payload contributions over a flat gang*worker*vector
-/// iteration space. `body(ctx, idx)` returns iteration idx's payload P;
-/// `op` needs `identity()` and `apply(P, P)`. P must be trivially
-/// copyable — it travels through shared and global staging by bytes.
+/// iteration space. `body(ctx, idx)` returns iteration idx's payload P; it
+/// runs on each active lane's view (WarpCtx::lane), lowest lane first, and
+/// must not synchronize. `op` needs `identity()` and `apply(P, P)`. P must
+/// be trivially copyable — it travels through shared and global staging
+/// by bytes.
 template <typename P, typename Op, typename Body>
 PayloadReduceResult<P> run_payload_reduction(gpusim::Device& dev,
                                              std::int64_t extent,
@@ -52,28 +54,39 @@ PayloadReduceResult<P> run_payload_reduction(gpusim::Device& dev,
   gpusim::SharedLayout layout;
   auto sbuf = layout.add<P>(nthreads);
 
-  auto kernel = [&, pview](gpusim::ThreadCtx& ctx) {
-    const std::uint32_t tid = ctx.linear_tid();
-    const std::uint32_t bid = ctx.blockIdx.x;
-    const std::size_t gtid = static_cast<std::size_t>(bid) * nthreads + tid;
-
-    P priv = op.identity();
-    device_loop(sc.assignment, extent, static_cast<std::int64_t>(gtid),
-                static_cast<std::int64_t>(total_threads),
-                [&](std::int64_t idx) {
-                  auto prof = ctx.prof_scope("private_partial");
-                  ctx.alu(2);
-                  priv = op.apply(priv, body(ctx, idx));
-                  ctx.alu(1);
-                  detail::touch_spill(ctx, sc, sizeof(P));
-                });
-    {
-      auto prof = ctx.prof_scope("staging");
-      ctx.sts(sbuf, tid, priv);
+  auto kernel = [&, pview](gpusim::WarpCtx& wc) {
+    const detail::LaneCoords c(wc);
+    const gpusim::LaneMask all = wc.lanes();
+    const std::uint32_t bid = wc.blockIdx.x;
+    const gpusim::LaneMask lead = gpusim::lanes_where(
+        all, [&](std::uint32_t l) { return c.tid[l] == 0; });
+    gpusim::Lanes<std::size_t> gtid{};
+    for (std::uint32_t l = 0; l < wc.width(); ++l) {
+      gtid[l] = static_cast<std::size_t>(bid) * nthreads + c.tid[l];
     }
-    block_tree_reduce(ctx, sbuf, 0, nthreads, 1, tid, op, sc.tree);
-    auto prof = ctx.prof_scope("staging");
-    if (tid == 0) ctx.st(pview, bid, ctx.lds(sbuf, 0));
+
+    gpusim::Lanes<P> priv;
+    priv.fill(op.identity());
+    warp_device_loop(
+        sc.assignment, extent, gtid, static_cast<std::int64_t>(total_threads),
+        all, [&](gpusim::LaneMask m, const gpusim::Lanes<std::int64_t>& idx) {
+          auto prof = wc.prof_scope("private_partial");
+          wc.alu(m, 2);
+          gpusim::for_each_lane(m, [&](std::uint32_t l) {
+            priv[l] = op.apply(priv[l], body(wc.lane(l), idx[l]));
+          });
+          wc.alu(m, 1);
+          detail::touch_spill(wc, m, sc, sizeof(P));
+        });
+    {
+      auto prof = wc.prof_scope("staging");
+      wc.sts(all, sbuf, c.tid, priv);
+    }
+    block_tree_reduce(wc, sbuf, {}, nthreads, 1, c.tid, op, sc.tree);
+    auto prof = wc.prof_scope("staging");
+    gpusim::Lanes<P> result{};
+    wc.lds(lead, sbuf, gpusim::Lanes<std::uint32_t>{}, result);
+    wc.st(lead, pview, detail::splat(bid), result);
   };
 
   PayloadReduceResult<P> res;
@@ -88,21 +101,33 @@ PayloadReduceResult<P> run_payload_reduction(gpusim::Device& dev,
   const std::uint32_t ft = sc.finalize_threads;
   gpusim::SharedLayout flayout;
   auto fbuf = flayout.add<P>(ft);
-  auto fin = [&, pview, oview](gpusim::ThreadCtx& ctx) {
-    const std::uint32_t t = ctx.threadIdx.x;
-    P priv = op.identity();
-    device_loop(sc.assignment, g, t, ft, [&](std::int64_t bk) {
-      auto prof = ctx.prof_scope("private_partial");
-      ctx.alu(2);
-      priv = op.apply(priv, ctx.ld(pview, static_cast<std::size_t>(bk)));
-    });
+  auto fin = [&, pview, oview](gpusim::WarpCtx& wc) {
+    const detail::LaneCoords c(wc);  // 1-D block: x is the thread index
+    const gpusim::LaneMask all = wc.lanes();
+    const gpusim::LaneMask lead =
+        gpusim::lanes_where(all, [&](std::uint32_t l) { return c.x[l] == 0; });
+    gpusim::Lanes<P> priv;
+    priv.fill(op.identity());
+    gpusim::Lanes<P> val{};
+    warp_device_loop(
+        sc.assignment, g, c.x, ft, all,
+        [&](gpusim::LaneMask m, const gpusim::Lanes<std::int64_t>& bk) {
+          auto prof = wc.prof_scope("private_partial");
+          wc.alu(m, 2);
+          wc.ld(m, pview, bk, val);
+          gpusim::for_each_lane(m, [&](std::uint32_t l) {
+            priv[l] = op.apply(priv[l], val[l]);
+          });
+        });
     {
-      auto prof = ctx.prof_scope("staging");
-      ctx.sts(fbuf, t, priv);
+      auto prof = wc.prof_scope("staging");
+      wc.sts(all, fbuf, c.x, priv);
     }
-    block_tree_reduce(ctx, fbuf, 0, ft, 1, t, op, sc.tree);
-    auto prof = ctx.prof_scope("finalize");
-    if (t == 0) ctx.st(oview, 0, ctx.lds(fbuf, 0));
+    block_tree_reduce(wc, fbuf, {}, ft, 1, c.x, op, sc.tree);
+    auto prof = wc.prof_scope("finalize");
+    gpusim::Lanes<P> result{};
+    wc.lds(lead, fbuf, gpusim::Lanes<std::uint32_t>{}, result);
+    wc.st(lead, oview, gpusim::Lanes<std::uint32_t>{}, result);
   };
   res.stats += gpusim::launch(dev, {1}, {ft}, flayout.bytes(), fin,
                               labeled_sim(sc.sim, "payload_finalize"));

@@ -109,58 +109,67 @@ ReduceResult<T> run_worker_vector_reduction_ordered(
   auto sbuf = layout.add<T>(static_cast<std::size_t>(w) * v);
   auto wbuf = layout.add<T>(w);
 
-  // A ThreadCtx kernel: the bindings run on a width-1 view of each lane.
-  auto kernel = [=, &b](gpusim::ThreadCtx& ctx) {
+  auto kernel = [=, &b](gpusim::WarpCtx& wc) {
     const acc::RuntimeOp<T> rop{op};
-    const std::uint32_t x = ctx.threadIdx.x;
-    const std::uint32_t y = ctx.threadIdx.y;
-    const std::uint32_t bid = ctx.blockIdx.x;
-    gpusim::WarpCtx wc(ctx);
+    const detail::LaneCoords c(wc);
+    const gpusim::LaneMask all = wc.lanes();
+    const std::uint32_t bid = wc.blockIdx.x;
+    const gpusim::LaneMask first_lanes =
+        gpusim::lanes_where(all, [&](std::uint32_t l) { return c.x[l] == 0; });
+    const gpusim::LaneMask lead = gpusim::lanes_where(
+        all, [&](std::uint32_t l) { return c.x[l] == 0 && c.y[l] == 0; });
+    gpusim::Lanes<std::uint32_t> row{};
+    gpusim::Lanes<std::uint32_t> slot{};
+    gpusim::Lanes<std::uint32_t> first_row{};
+    for (std::uint32_t l = 0; l < wc.width(); ++l) {
+      row[l] = c.y[l] * v;
+      slot[l] = row[l] + c.x[l];
+      first_row[l] = c.y[l] == 0 ? c.x[l] : ~std::uint32_t{0};
+    }
 
+    gpusim::Lanes<T> r{};
     device_loop(sc.assignment, n.nk, bid, g, [&](std::int64_t k) {
-      T wpriv = rop.identity();
+      const LaneIndex kk = detail::splat(k);
+      gpusim::Lanes<T> wpriv;
+      wpriv.fill(rop.identity());
       // Padded: the body stages + trees per j instance (barriers inside).
-      assigned_loop(sc.assignment, n.nj, y, w, [&](std::int64_t j, bool ja) {
-        T vpriv = rop.identity();
-        if (ja) {
-          auto prof = ctx.prof_scope("private_partial");
-          device_loop(sc.assignment, n.ni, x, v, [&](std::int64_t i) {
-            ctx.alu(2);
-            if (b.parallel_work) {
-              b.parallel_work(wc, 1, LaneIndex{k}, LaneIndex{j},
-                              LaneIndex{i});
+      warp_assigned_loop(
+          sc.assignment, n.nj, c.y, w, all,
+          [&](const LaneIndex& j, gpusim::LaneMask ja) {
+            gpusim::Lanes<T> vpriv;
+            vpriv.fill(rop.identity());
+            if (ja != 0) {
+              auto prof = wc.prof_scope("private_partial");
+              gpusim::Lanes<T> val{};
+              warp_device_loop(
+                  sc.assignment, n.ni, c.x, v, ja,
+                  [&](gpusim::LaneMask m, const LaneIndex& i) {
+                    detail::fold_step(wc, sc, b, rop, m, kk, j, i, vpriv,
+                                      val);
+                  });
             }
-            vpriv = rop.apply(vpriv, detail::lane_contrib(b, ctx, k, j, i));
-            ctx.alu(1);
-            detail::touch_spill(ctx, sc, sizeof(T));
+            // Vector tree per row, once per j instance.
+            {
+              auto prof = wc.prof_scope("staging");
+              wc.sts(all, sbuf, slot, vpriv);
+            }
+            block_tree_reduce(wc, sbuf, row, v, 1, c.x, rop, sc.tree);
+            auto prof = wc.prof_scope("finalize");
+            const gpusim::LaneMask leads = ja & first_lanes;
+            wc.lds(leads, sbuf, row, r);
+            detail::fold_lanes(rop, leads, wpriv, r);
+            wc.syncthreads();
           });
-        }
-        // Vector tree per row, once per j instance.
-        {
-          auto prof = ctx.prof_scope("staging");
-          ctx.sts(sbuf, y * v + x, vpriv);
-        }
-        block_tree_reduce(ctx, sbuf, y * v, v, 1, x, rop, sc.tree);
-        auto prof = ctx.prof_scope("finalize");
-        if (x == 0 && ja) {
-          wpriv = rop.apply(wpriv, ctx.lds(sbuf, y * v));
-        }
-        ctx.syncthreads();
-      });
       // Worker tree per k instance over the first lane's accumulators.
       {
-        auto prof = ctx.prof_scope("staging");
-        if (x == 0) ctx.sts(wbuf, y, wpriv);
+        auto prof = wc.prof_scope("staging");
+        wc.sts(first_lanes, wbuf, c.y, wpriv);
       }
-      block_tree_reduce(ctx, wbuf, 0, w, 1, y == 0 ? x : ~std::uint32_t{0},
-                        rop, sc.tree);
-      auto prof = ctx.prof_scope("finalize");
-      if (x == 0 && y == 0) {
-        gpusim::Lanes<T> result{ctx.lds(wbuf, 0)};
-        detail::sink_lanes(b, rop, wc, 1, LaneIndex{k}, detail::kNoIndex,
-                           result);
-      }
-      ctx.syncthreads();
+      block_tree_reduce(wc, wbuf, {}, w, 1, first_row, rop, sc.tree);
+      auto prof = wc.prof_scope("finalize");
+      wc.lds(lead, wbuf, gpusim::Lanes<std::uint32_t>{}, r);
+      detail::sink_lanes(b, rop, wc, lead, kk, detail::kNoIndex, r);
+      wc.syncthreads();
     });
   };
 

@@ -84,12 +84,6 @@ inline void touch_spill(gpusim::WarpCtx& wc, gpusim::LaneMask m,
   wc.touch_global(m, slot, bytes);  // store
 }
 
-inline void touch_spill(gpusim::ThreadCtx& ctx, const StrategyConfig& sc,
-                        std::size_t elem_size) {
-  gpusim::WarpCtx wc(ctx);
-  touch_spill(wc, wc.lanes(), sc, elem_size);
-}
-
 /// Index of a loop level the strategy does not iterate, in every lane.
 inline constexpr LaneIndex kNoIndex = [] {
   LaneIndex none{};
@@ -203,10 +197,11 @@ void fold_lanes(acc::RuntimeOp<T> op, gpusim::LaneMask m,
 /// One warp instruction of a private partial's innermost loop, for the
 /// lanes of `m` at iteration (k, j, i): index bookkeeping, the optional
 /// parallel work, the contribution (into `val`), the fold into `priv`, and
-/// the spilled accumulator's touch.
-template <typename T>
-void fold_step(gpusim::WarpCtx& wc, const StrategyConfig& sc,
-               const Bindings<T>& b, acc::RuntimeOp<T> op, gpusim::LaneMask m,
+/// the spilled accumulator's touch. `b` holds Bindings' contrib and
+/// parallel_work (a Bindings<T> or a FusedChainBindings<T>).
+template <typename T, typename B>
+void fold_step(gpusim::WarpCtx& wc, const StrategyConfig& sc, const B& b,
+               acc::RuntimeOp<T> op, gpusim::LaneMask m,
                const LaneIndex& k, const LaneIndex& j, const LaneIndex& i,
                gpusim::Lanes<T>& priv, gpusim::Lanes<T>& val) {
   wc.alu(m, 2);  // index bookkeeping per Fig. 3 iteration
@@ -250,17 +245,6 @@ void sink_lanes(const Bindings<T>& b, acc::RuntimeOp<T> op,
     });
   }
   b.sink(wc, m, k, j, r);
-}
-
-/// A warp-form contribution from a ThreadCtx kernel: the binding runs on a
-/// width-1 view of the calling lane.
-template <typename T>
-T lane_contrib(const Bindings<T>& b, gpusim::ThreadCtx& ctx, std::int64_t k,
-               std::int64_t j, std::int64_t i) {
-  gpusim::WarpCtx wc(ctx);
-  gpusim::Lanes<T> out{};
-  b.contrib(wc, 1, LaneIndex{k}, LaneIndex{j}, LaneIndex{i}, out);
-  return out[0];
 }
 
 template <typename T>

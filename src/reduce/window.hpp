@@ -8,11 +8,13 @@
 //
 // Two loop shapes are provided: device_loop has true while-loop semantics
 // (only in-range iterations execute — what Fig. 3 compiles to), while
-// assigned_loop is padded so every thread runs the same iteration count,
-// which barrier-bearing loop bodies require. Both remove any power-of-2
-// restriction on the iteration space (§3.3). Each has a warp form for warp
-// kernels (gpusim/warp_ctx.hpp): lane l runs thread id[l]'s iterations, in
-// the same order as the scalar form.
+// warp_assigned_loop is padded so every thread runs the same iteration
+// count, which barrier-bearing loop bodies require. Both remove any
+// power-of-2 restriction on the iteration space (§3.3). The loops over a
+// thread's own iterations are warp forms for warp kernels
+// (gpusim/warp_ctx.hpp): lane l runs thread id[l]'s iterations, in order;
+// device_loop's scalar form serves loops uniform across a block (the gang
+// loop over blockIdx.x).
 #pragma once
 
 #include <algorithm>
@@ -34,8 +36,8 @@ enum class Assignment : std::uint8_t {
 
 /// True while-loop semantics of Fig. 3: `body(index)` runs only for
 /// in-range iterations of this thread. Use for loop levels whose body
-/// contains no block barrier (otherwise see assigned_loop). A thread whose
-/// window is empty executes nothing, exactly like `while (i < n)`.
+/// contains no block barrier (otherwise see warp_assigned_loop). A thread
+/// whose window is empty executes nothing, exactly like `while (i < n)`.
 template <typename F>
 void device_loop(Assignment mode, std::int64_t extent, std::int64_t id,
                  std::int64_t nthreads, F&& body) {
@@ -45,29 +47,6 @@ void device_loop(Assignment mode, std::int64_t extent, std::int64_t id,
     const std::int64_t chunk = ceil_div(extent, nthreads);
     const std::int64_t end = std::min(extent, (id + 1) * chunk);
     for (std::int64_t idx = id * chunk; idx < end; ++idx) body(idx);
-  }
-}
-
-/// Padded variant: run `body(index, active)` exactly
-/// ceil(extent / nthreads) times on EVERY thread, flagging out-of-range
-/// iterations. Required when the body contains syncthreads (e.g. a staged
-/// tree per instance): all threads of the block must reach every barrier
-/// the same number of times even when the extent does not divide evenly.
-template <typename F>
-void assigned_loop(Assignment mode, std::int64_t extent, std::int64_t id,
-                   std::int64_t nthreads, F&& body) {
-  const std::int64_t iters = ceil_div(extent, nthreads);
-  if (mode == Assignment::kWindow) {
-    for (std::int64_t it = 0; it < iters; ++it) {
-      const std::int64_t idx = id + it * nthreads;
-      body(idx, idx < extent);
-    }
-  } else {
-    const std::int64_t base = id * iters;
-    for (std::int64_t it = 0; it < iters; ++it) {
-      const std::int64_t idx = base + it;
-      body(idx, idx < extent);
-    }
   }
 }
 
@@ -104,9 +83,12 @@ void warp_device_loop(Assignment mode, std::int64_t extent,
   }
 }
 
-/// Warp form of assigned_loop over the lanes of `lanes`: body(idx, m) runs
+/// Padded loop over the lanes of `lanes`: body(idx, m) runs exactly
 /// ceil(extent / nthreads) times, lane l at iteration idx[l], with m the
-/// lanes whose iteration is in range.
+/// lanes whose iteration is in range. Required when the body contains
+/// syncthreads (e.g. a staged tree per instance): every thread of the block
+/// must reach each barrier the same number of times even when the extent
+/// does not divide evenly.
 template <typename I, typename F>
 void warp_assigned_loop(Assignment mode, std::int64_t extent,
                         const gpusim::Lanes<I>& id, std::int64_t nthreads,

@@ -2,11 +2,12 @@
 // kernel runs one fiber per warp (width 32) unless racecheck, profiling or
 // a fault plan asks for lane order (width 1); each lane must issue the same
 // events either way. Checked here: masked warp ops book exactly what the
-// equivalent per-lane ThreadCtx ops book; a lane view refuses to
-// synchronize at width 32; whole-warp barrier divergence reads the same at
-// both widths, strict mode included; the ThreadCtx tree (a width-1 view)
-// matches the warp tree; every Table 2 strategy gives the same stats
-// and results with warp-form bindings as with per-lane bodies; an affine
+// equivalent per-lane ThreadCtx ops book, and ops for no lane book nothing
+// and read no index; a lane view refuses to synchronize at width 32;
+// whole-warp barrier divergence reads the same at both widths, strict
+// mode included; the ThreadCtx tree (a width-1 view) matches the warp
+// tree; every Table 2 strategy gives the same stats and results with
+// warp-form bindings as with per-lane bodies; an affine
 // access out of bounds fails as the per-lane path does; affine_run takes
 // only one contiguous run with a bounded step; and lazily built lane
 // views carry the scheduler's thread coordinates.
@@ -121,7 +122,9 @@ OpsRun run_lane_ops() {
   return r;
 }
 
-OpsRun run_warp_ops(const SimOptions& opts) {
+/// `empty_ops` adds a load, store, shared load, shared store and touch for
+/// no lane, at indices out of every range: they must issue nothing.
+OpsRun run_warp_ops(const SimOptions& opts, bool empty_ops = false) {
   Device dev;
   auto in = dev.alloc<float>(kElems);
   auto out = dev.alloc<float>(kElems);
@@ -169,6 +172,17 @@ OpsRun run_warp_ops(const SimOptions& opts) {
         }
         wc.sts(all, sbuf, s, sv);
         wc.touch_global(all, sp, 8);
+        if (empty_ops) {
+          Lanes<std::size_t> far;
+          far.fill(std::numeric_limits<std::size_t>::max());
+          Lanes<std::uint64_t> nowhere;
+          nowhere.fill(std::numeric_limits<std::uint64_t>::max());
+          wc.ld(0, iv, far, v);
+          wc.st(0, ov, far, v);
+          wc.lds(0, sbuf, far, sv);
+          wc.sts(0, sbuf, far, sv);
+          wc.touch_global(0, nowhere, 8);
+        }
         wc.syncthreads();
         wc.alu(all, 0.5);
         Lanes<float> w{};
@@ -184,16 +198,21 @@ OpsRun run_warp_ops(const SimOptions& opts) {
 
 TEST(WarpCtx, MaskedOpsBookLikeLaneOps) {
   const OpsRun lane = run_lane_ops();
-  const OpsRun warp32 = run_warp_ops({});
-  const OpsRun warp1 = run_warp_ops(width1());
-  EXPECT_EQ(warp32.width, 32u);
-  EXPECT_EQ(warp1.width, 1u);
   EXPECT_GT(lane.stats.gmem_segments, lane.stats.gmem_requests);  // strided
   EXPECT_GT(lane.stats.smem_cycles, lane.stats.smem_requests);  // conflicts
-  EXPECT_EQ(counters(warp32.stats), counters(lane.stats));
-  EXPECT_EQ(counters(warp1.stats), counters(lane.stats));
-  EXPECT_EQ(warp32.out, lane.out);
-  EXPECT_EQ(warp1.out, lane.out);
+  for (const bool empty_ops : {false, true}) {
+    SCOPED_TRACE(empty_ops ? "with empty-mask ops" : "");
+    OpsRun warp32;
+    OpsRun warp1;
+    ASSERT_NO_THROW(warp32 = run_warp_ops({}, empty_ops));
+    ASSERT_NO_THROW(warp1 = run_warp_ops(width1(), empty_ops));
+    EXPECT_EQ(warp32.width, 32u);
+    EXPECT_EQ(warp1.width, 1u);
+    EXPECT_EQ(counters(warp32.stats), counters(lane.stats));
+    EXPECT_EQ(counters(warp1.stats), counters(lane.stats));
+    EXPECT_EQ(warp32.out, lane.out);
+    EXPECT_EQ(warp1.out, lane.out);
+  }
 }
 
 // ---- Lane views must not synchronize at width 32 ---------------------------

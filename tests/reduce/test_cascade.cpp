@@ -65,15 +65,17 @@ void run_case(const Nest3& n, const CascadeOps& ops, bool with_inits) {
   auto iv = input.view();
 
   FusedChainBindings<T> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
+  });
   if (with_inits) {
     b.vector_init = [](std::int64_t, std::int64_t j) {
       return static_cast<T>(j);
     };
-    b.worker_init = [](std::int64_t k) { return static_cast<T>(k); };
+    b.worker_init = [](std::int64_t k, std::int64_t) {
+      return static_cast<T>(k);
+    };
   }
   b.host_init = static_cast<T>(5);
   b.host_init_set = true;
@@ -138,17 +140,18 @@ TEST(Cascade, SinksObserveIntermediateResults) {
   auto kv = ktemps.view();
 
   FusedChainBindings<int> b;
-  b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                  std::int64_t i) {
+  b.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                           std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
-  };
-  b.vector_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                      int r) {
+  });
+  b.vector_sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                               std::int64_t j, int r) {
     ctx.st(tv, static_cast<std::size_t>(k * n.nj + j), r);
-  };
-  b.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, int r) {
+  });
+  b.worker_sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                               std::int64_t, int r) {
     ctx.st(kv, static_cast<std::size_t>(k), r);
-  };
+  });
   auto res = run_fused_chain<int>(dev, chain_of({}), n, small_cfg(), b);
   // temp[k][j] = ni; ktemp[k] = nj*ni; scalar = nk*nj*ni.
   for (int t : temps.host_span()) EXPECT_EQ(t, n.ni);

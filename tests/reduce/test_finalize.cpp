@@ -11,13 +11,15 @@ namespace {
 
 template <typename T>
 T finalize_once(std::size_t count, acc::ReductionOp op, bool two_pass,
-                gpusim::LaunchStats* stats_out = nullptr) {
+                gpusim::LaunchStats* stats_out = nullptr,
+                Staging staging = Staging::kShared) {
   gpusim::Device dev;
   auto host = test::make_input<T>(op, count);
   auto in = dev.alloc<T>(count);
   in.copy_from_host(host);
   auto out = dev.alloc<T>(1);
   StrategyConfig sc;
+  sc.staging = staging;
   gpusim::LaunchStats stats =
       two_pass ? launch_finalize_two_pass(dev, in.view(), count, out.view(),
                                           op, sc)
@@ -26,7 +28,8 @@ T finalize_once(std::size_t count, acc::ReductionOp op, bool two_pass,
   const T expect = test::cpu_fold<T>(op, std::span<const T>(host));
   EXPECT_TRUE(testsuite::reduction_result_matches(expect, out.host_span()[0],
                                                   count))
-      << "count=" << count << " two_pass=" << two_pass;
+      << "count=" << count << " two_pass=" << two_pass
+      << " global staging=" << (staging == Staging::kGlobal);
   return out.host_span()[0];
 }
 
@@ -38,10 +41,15 @@ TEST(Finalize, SingleBlockAllCounts) {
 }
 
 TEST(Finalize, TwoPassAllCounts) {
-  for (std::size_t count : {1u, 200u, 4096u, 100'000u, 196'608u}) {
-    (void)finalize_once<std::int64_t>(count, acc::ReductionOp::kSum, true);
-    (void)finalize_once<std::uint32_t>(count, acc::ReductionOp::kBitXor,
-                                       true);
+  // Both passes follow the staging choice; the global form stages through
+  // a buffer launch_finalize allocates for itself.
+  for (const Staging staging : {Staging::kShared, Staging::kGlobal}) {
+    for (std::size_t count : {1u, 200u, 4096u, 100'000u, 196'608u}) {
+      (void)finalize_once<std::int64_t>(count, acc::ReductionOp::kSum, true,
+                                        nullptr, staging);
+      (void)finalize_once<std::uint32_t>(count, acc::ReductionOp::kBitXor,
+                                         true, nullptr, staging);
+    }
   }
 }
 

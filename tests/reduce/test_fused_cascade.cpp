@@ -121,17 +121,18 @@ ChainLevels<T> run_fused(const Nest3& n, std::span<const T> host,
   const auto [nk, nj, ni] = n;
 
   FusedChainBindings<T> fb;
-  fb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                   std::int64_t i) {
+  fb.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                            std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * nj + j) * ni + i));
-  };
-  fb.vector_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                       std::int64_t j, T r) {
+  });
+  fb.vector_sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t j, T r) {
     ctx.st(vec_view, static_cast<std::size_t>(k * nj + j), r);
-  };
-  fb.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, T r) {
+  });
+  fb.worker_sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                std::int64_t, T r) {
     ctx.st(wrk_view, static_cast<std::size_t>(k), r);
-  };
+  });
   auto res = run_fused_chain<T>(dev, sum_chain3(), n, small_cfg(), fb, sc);
 
   ChainLevels<T> out;
@@ -192,11 +193,11 @@ TEST(FusedCascade, TwoStageChainsAndMixedOperators) {
     auto out = dev.alloc<std::int64_t>(static_cast<std::size_t>(nk));
     auto ov = out.view();
     FusedChainBindings<std::int64_t> fb;
-    fb.contrib = contrib;
-    fb.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                         std::int64_t r) {
+    fb.contrib = per_lane(contrib);
+    fb.worker_sink = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                                  std::int64_t, std::int64_t r) {
       ctx.st(ov, static_cast<std::size_t>(k), r);
-    };
+    });
     const std::vector<acc::FusedStage> chain = {
         {acc::ReductionOp::kMin, acc::Par::kVector, "i_min"},
         {acc::ReductionOp::kMax, acc::Par::kWorker, "j_max"}};
@@ -223,10 +224,10 @@ TEST(FusedCascade, TwoStageChainsAndMixedOperators) {
   // [worker, gang]: no vector stage; contrib sees i = -1.
   {
     FusedChainBindings<std::int64_t> fb;
-    fb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                     std::int64_t) {
+    fb.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                              std::int64_t j, std::int64_t) {
       return ctx.ld(iv, static_cast<std::size_t>(k * nj + j));
-    };
+    });
     const std::vector<acc::FusedStage> chain = {
         {acc::ReductionOp::kSum, acc::Par::kWorker, "j_sum"},
         {acc::ReductionOp::kMax, acc::Par::kGang, "best"}};
@@ -249,8 +250,8 @@ TEST(FusedCascade, TwoStageChainsAndMixedOperators) {
 TEST(FusedCascade, RejectsUnsupportedChains) {
   gpusim::Device dev;
   FusedChainBindings<int> fb;
-  fb.contrib = [](gpusim::ThreadCtx&, std::int64_t, std::int64_t,
-                  std::int64_t) { return 1; };
+  fb.contrib = per_lane([](gpusim::ThreadCtx&, std::int64_t, std::int64_t,
+                           std::int64_t) { return 1; });
   const Nest3 n{2, 2, 4};
   const std::vector<std::vector<acc::FusedStage>> bad_chains = {
       {},
@@ -285,10 +286,10 @@ TEST(FusedCascade, FusedChainKernelIsRaceFree) {
   auto iv = input.view();
   const auto [nk, nj, ni] = n;
   FusedChainBindings<double> fb;
-  fb.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
-                   std::int64_t i) {
+  fb.contrib = per_lane([=](gpusim::ThreadCtx& ctx, std::int64_t k,
+                            std::int64_t j, std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * nj + j) * ni + i));
-  };
+  });
   StrategyConfig sc;
   sc.sim = rc_opts();
   auto res = run_fused_chain<double>(dev, sum_chain3(), n, small_cfg(), fb,

@@ -6,32 +6,17 @@
 // block shape, at a smaller one, and with blocking iteration assignment.
 // At a vector length that is not a multiple of 32 a warp spans two rows,
 // its lanes diverge by more than a prefix, and the width rule keeps the
-// clean run at width 1; that sweep pins the rule.
+// clean run at width 1; that sweep pins the rule. test_warp_widths_ext.cpp
+// holds the extended kinds and the kernels no runner cell reaches.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
-#include "acc/profiles.hpp"
 #include "testsuite/cases.hpp"
-#include "testsuite/runner.hpp"
+#include "testsuite/warp_widths.hpp"
 
 namespace accred::testsuite {
 namespace {
-
-std::string counters(const gpusim::LaunchStats& s) {
-  std::ostringstream os;
-  os << std::hexfloat << s.blocks << '|' << s.threads << '|'
-     << s.gmem_requests << '|' << s.gmem_segments << '|' << s.gmem_bytes
-     << '|' << s.smem_requests << '|' << s.smem_cycles << '|' << s.barriers
-     << '|' << s.syncwarps << '|' << s.alu_units << '|' << s.device_time_ns
-     << '|' << s.barrier_exit_divergence << '|' << s.barrier_site_mismatch;
-  return os.str();
-}
-
-constexpr acc::CompilerId kCompilers[] = {acc::CompilerId::kOpenUH,
-                                          acc::CompilerId::kCapsLike,
-                                          acc::CompilerId::kPgiLike};
 
 /// Run every cell of `cells` at both widths and compare: for every
 /// compiler, or with `rotate` for one compiler per cell in turn.
@@ -64,14 +49,7 @@ void expect_widths_agree(const acc::LaunchConfig& config,
         a = wide.run(id, spec);
         b = narrow.run(id, spec);
       }
-      ASSERT_EQ(a.status, b.status);
-      if (a.status != acc::Robustness::kOk) continue;
-      EXPECT_TRUE(a.verified) << a.detail;
-      EXPECT_TRUE(b.verified) << b.detail;
-      EXPECT_EQ(b.stats.races, 0u);
-      EXPECT_EQ(a.kernels, b.kernels);
-      EXPECT_EQ(counters(a.stats), counters(b.stats));
-      EXPECT_EQ(a.result_hash, b.result_hash);
+      expect_same_outcome(a, b);
     }
   }
 }
